@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass, field
@@ -19,8 +20,6 @@ from pathlib import Path
 
 _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-_COMMANDS = ("verify", "evolve", "transform", "spectrum")
 
 _TOP_KEYS = {"command", "mass", "domain", "n", "L", "nr", "rmax", "ntheta",
              "nphi", "lmax", "np", "np_points", "initial", "time", "output",
@@ -73,7 +72,7 @@ def _as_float(raw: dict, key: str, default: float, lo=None) -> float:
         v = float(v)
     except (TypeError, ValueError):
         raise ConfigError(f"{key} must be a number, got {v!r}")
-    if not (v == v) or v in (float("inf"), float("-inf")):
+    if not math.isfinite(v):
         raise ConfigError(f"{key} must be finite")
     if lo is not None and v < lo:
         raise ConfigError(f"{key} must be >= {lo}, got {v}")
@@ -143,6 +142,7 @@ def load_config(path: str, command: str, out_override: str | None) -> RunConfig:
     tol = raw.get("tolerances", {})
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be an object of test-id -> number")
+    tol = {k: _as_float(tol, k, 0.0) for k in tol}
 
     cfg = RunConfig(
         command=command,
@@ -177,8 +177,22 @@ def _out_path(cfg: RunConfig) -> Path:
     return out
 
 
+def _json_safe(obj):
+    """Non-finite floats become null, so the file stays valid JSON."""
+    if isinstance(obj, dict):
+        return {k: _json_safe(v) for k, v in obj.items()}
+    if isinstance(obj, list):
+        return [_json_safe(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
+
+
 def _write_json(path: Path, obj: dict) -> None:
-    path.write_text(json.dumps(obj, indent=2) + "\n")
+    path.write_text(json.dumps(_json_safe(obj), indent=2, allow_nan=False) + "\n")
+
+
+def _rel(err, ref) -> float:
+    """err / ref, or err against a zero reference; NaN stays NaN (verdicts fail)."""
+    return float(err / ref) if ref != 0 else float(err)
 
 
 def _f(v) -> str:
@@ -203,7 +217,7 @@ def _cmd_verify(cfg: RunConfig, quiet: bool) -> int:
 
     report = vf.run_suite(st, progress)
     out = _out_path(cfg)
-    (out / "report.json").write_text(report.to_json() + "\n")
+    _write_json(out / "report.json", report.to_dict())
     npass = sum(c.passed for c in report.checks)
     print(f"{'PASS' if report.passed else 'FAIL'}: {npass}/{len(report.checks)} "
           f"checks passed; report written to {out / 'report.json'}")
@@ -211,6 +225,22 @@ def _cmd_verify(cfg: RunConfig, quiet: bool) -> int:
 
 
 # ------------------------------------------------------- initial conditions
+
+def _initial_value(ini: dict, key: str, default, shape: tuple, what: str):
+    """initial.<key> as a finite float array of the given shape."""
+    import numpy as np
+
+    raw = ini.get(key, default)
+    try:
+        v = np.asarray(raw, dtype=float)
+    except (TypeError, ValueError):
+        v = None
+    if raw is None or v is None or v.shape != shape:
+        raise ConfigError(f"initial.{key} must be {what}")
+    if not np.isfinite(v).all():
+        raise ConfigError(f"initial.{key} must be finite")
+    return v
+
 
 def _initial_cartesian(cfg: RunConfig):
     import numpy as np
@@ -220,28 +250,20 @@ def _initial_cartesian(cfg: RunConfig):
     grid = fourier.CartesianGrid(cfg.n, cfg.L)
     ini = cfg.initial
     kind = ini.get("type", "gaussian")
-    chi = np.asarray(ini.get("spinor", [1.0, 0.0, 0.0, 0.0]), dtype=float)
-    if chi.shape != (4,):
-        raise ConfigError("initial.spinor must be a 4-vector")
+    chi = _initial_value(ini, "spinor", [1.0, 0.0, 0.0, 0.0], (4,), "a 4-vector")
     if kind == "gaussian":
-        center = np.asarray(ini.get("center", [cfg.L / 2] * 3), dtype=float)
-        if center.shape != (3,):
-            raise ConfigError("initial.center must be a 3-vector")
-        width = float(ini.get("width", cfg.L / 10))
+        center = _initial_value(ini, "center", [cfg.L / 2] * 3, (3,), "a 3-vector")
+        width = float(_initial_value(ini, "width", cfg.L / 10, (), "a number"))
         if not width > 0:
             raise ConfigError("initial.width must be > 0")
-        boost = np.asarray(ini.get("boost", [0.0, 0.0, 0.0]), dtype=float)
-        if boost.shape != (3,):
-            raise ConfigError("initial.boost must be a 3-vector")
+        boost = _initial_value(ini, "boost", [0.0, 0.0, 0.0], (3,), "a 3-vector")
         if np.any(boost != 0.0):
             # a moving packet is built as a single-sided momentum bump at
             # +boost; a rotor-modulated position Gaussian would put weight at
             # -boost too (mirror channel) and the centroid would not track
             # the group velocity <p>/<E>
             bump = np.exp(-((grid.P - boost) ** 2).sum(-1) * width ** 2 / 2.0)
-            ph = grid.P @ center
-            vals = bump[..., None] * np.einsum('xyzab,b->xyza',
-                                               fourier.rotor(-ph), chi)
+            vals = bump[..., None] * fourier.rotate(-(grid.P @ center), chi)
             spec = fourier.MomentumSpectrum(grid, vals, cfg.mass)
             return grid, fourier.inverse(spec)
         X, Y, Z = np.meshgrid(grid.xs, grid.xs, grid.xs, indexing='ij')
@@ -269,9 +291,7 @@ def _initial_spherical(cfg: RunConfig):
                                 cfg.lmax, cfg.np_points)
     ini = cfg.initial
     kind = ini.get("type", "gaussian")
-    chi = np.asarray(ini.get("spinor", [1.0, 0.0, 0.0, 0.0]), dtype=float)
-    if chi.shape != (4,):
-        raise ConfigError("initial.spinor must be a 4-vector")
+    chi = _initial_value(ini, "spinor", [1.0, 0.0, 0.0, 0.0], (4,), "a 4-vector")
     l = ini.get("l", 1)
     mu = ini.get("mu", 0)
     try:
@@ -284,11 +304,9 @@ def _initial_spherical(cfg: RunConfig):
         if ini.get("boost") is not None:
             raise ConfigError("initial.boost is not supported on the "
                               "spherical domain")
-        center = ini.get("center", cfg.rmax / 4)
-        if isinstance(center, list):
-            raise ConfigError("spherical initial.center is a radius (number)")
-        r0 = float(center)
-        width = float(ini.get("width", cfg.rmax / 20))
+        r0 = float(_initial_value(ini, "center", cfg.rmax / 4, (),
+                                  "a radius (number) on the spherical domain"))
+        width = float(_initial_value(ini, "width", cfg.rmax / 20, (), "a number"))
         if not width > 0:
             raise ConfigError("initial.width must be > 0")
         env = np.exp(-((grid.r - r0) / width) ** 2)
@@ -297,11 +315,8 @@ def _initial_spherical(cfg: RunConfig):
         vals = env[:, None, None, None] * base[None]
         return grid, hankel.SphericalField(grid, vals, cfg.mass), None
     if kind == "single-mode":
-        p = ini.get("p")
-        try:
-            p = float(p)
-        except (TypeError, ValueError):
-            raise ConfigError("spherical single-mode initial.p must be a number")
+        p = float(_initial_value(ini, "p", None, (),
+                                 "a number for a spherical single mode"))
         if not 0 < p <= grid.pmax:
             raise ConfigError(f"initial.p must lie in (0, {grid.pmax:.6g}]")
         kp = int(np.clip(round(p / grid.dp - 0.5), 0, grid.np_points - 1))
@@ -323,36 +338,31 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
     rows = []
     if cfg.domain == "cartesian":
         grid, field0 = _initial_cartesian(cfg)
-        spec = fourier.forward(field0)
+        spec0 = fourier.forward(field0)
         E = grid.energies(cfg.mass)
-        w = (spec.values ** 2).sum(-1)
+        w = (spec0.values ** 2).sum(-1)
         wtot = w.sum()
         energy = float((E * w).sum() / wtot) if wtot > 0 else 0.0
         pmean = (np.einsum('xyzj,xyz->j', grid.P, w) / wtot if wtot > 0
                  else np.zeros(3))
         vg_pred = pmean / energy if energy > 0 else np.zeros(3)
-        X, Y, Z = np.meshgrid(grid.xs, grid.xs, grid.xs, indexing='ij')
 
         def centroid(fld):
-            dens = (fld.values ** 2).sum(-1)
+            dens = np.einsum('xyza,xyza->xyz', fld.values, fld.values)
             tot = dens.sum()
             if tot <= 0:
                 return np.zeros(3)
-            return np.array([(X * dens).sum(), (Y * dens).sum(),
-                             (Z * dens).sum()]) / tot
+            return np.array([dens.sum((1, 2)) @ grid.xs, dens.sum((0, 2)) @ grid.xs,
+                             dens.sum((0, 1)) @ grid.xs]) / tot
 
-        norm0 = spec.norm2()
-        cur = spec
+        norm0 = spec0.norm2()
         c0 = centroid(field0)
-        drift = 0.0
         for k in range(cfg.steps + 1):
-            if k:
-                cur = fourier.evolve(cur, cfg.dt)
+            # evolve spec0 by the exact time k dt, so rounding does not pile up
+            cur = fourier.evolve(spec0, k * cfg.dt) if k else spec0
             fld = fourier.inverse(cur) if k else field0
-            nrm = cur.norm2()
-            drift = max(drift, abs(nrm - norm0) / norm0 if norm0 > 0 else 0.0)
-            cx, cy, cz = centroid(fld)
-            rows.append((k, k * cfg.dt, nrm, energy, cx, cy, cz))
+            rows.append((k, k * cfg.dt, cur.norm2(), energy, *centroid(fld)))
+        drift = _rel(np.abs(np.array([r[2] for r in rows]) - norm0).max(), norm0)
         tend = cfg.steps * cfg.dt
         vg_meas = ((np.array(rows[-1][4:7]) - c0) / tend if tend > 0
                    else np.zeros(3))
@@ -381,13 +391,11 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
         energy = float((E * w).sum() / wtot) if wtot > 0 else 0.0
         norm0 = spec.norm2()
         cur = spec
-        drift = 0.0
         for k in range(cfg.steps + 1):
             if k:
                 cur = hankel.evolve_hankel(cur, cfg.dt)
-            nrm = cur.norm2()
-            drift = max(drift, abs(nrm - norm0) / norm0 if norm0 > 0 else 0.0)
-            rows.append((k, k * cfg.dt, nrm, energy))
+            rows.append((k, k * cfg.dt, cur.norm2(), energy))
+        drift = _rel(np.abs(np.array([r[2] for r in rows]) - norm0).max(), norm0)
         header = "step,t,norm,energy"
         final = hankel.inverse_hankel(cur)
         if "bin" in cfg.formats:
@@ -425,22 +433,17 @@ def _cmd_transform(cfg: RunConfig, quiet: bool) -> int:
         grid, field0 = _initial_cartesian(cfg)
         spec = fourier.forward(field0)
         recon = fourier.inverse(spec)
-        scale = np.abs(field0.values).max()
         if cfg.mass > 0:
-            max_rel = (np.abs(recon.values - field0.values).max() / scale
-                       if scale > 0 else 0.0)
-            l2_rel = (np.sqrt(((recon.values - field0.values) ** 2).sum()
-                              / (field0.values ** 2).sum())
-                      if scale > 0 else 0.0)
+            diff = recon.values - field0.values
+            max_rel = _rel(np.abs(diff).max(), np.abs(field0.values).max())
+            l2_rel = np.sqrt(_rel((diff ** 2).sum(), (field0.values ** 2).sum()))
         else:
             # p = 0 is dropped at m = 0: compare on the invariant subspace
             spec2 = fourier.forward(recon)
-            sscale = np.abs(spec.values).max()
-            max_rel = (np.abs(spec2.values - spec.values).max() / sscale
-                       if sscale > 0 else 0.0)
+            max_rel = _rel(np.abs(spec2.values - spec.values).max(),
+                           np.abs(spec.values).max())
             l2_rel = max_rel
-        parseval = (abs(spec.norm2() - recon.norm2())
-                    / recon.norm2() if recon.norm2() > 0 else 0.0)
+        parseval = _rel(abs(spec.norm2() - recon.norm2()), recon.norm2())
         threshold = 1e-9
         if "bin" in cfg.formats:
             fio.write_maj1(out / "input.maj1", field0)
@@ -460,12 +463,9 @@ def _cmd_transform(cfg: RunConfig, quiet: bool) -> int:
         grid, field0, _ = _initial_spherical(cfg)
         spec = hankel.forward_hankel(field0)
         recon = hankel.inverse_hankel(spec)
-        nrm0 = field0.norm2()
         diff = hankel.SphericalField(grid, recon.values - field0.values, cfg.mass)
-        l2_rel = np.sqrt(diff.norm2() / nrm0) if nrm0 > 0 else 0.0
-        scale = np.abs(field0.values).max()
-        max_rel = (np.abs(recon.values - field0.values).max() / scale
-                   if scale > 0 else 0.0)
+        l2_rel = np.sqrt(_rel(diff.norm2(), field0.norm2()))
+        max_rel = _rel(np.abs(diff.values).max(), np.abs(field0.values).max())
         threshold = 1e-4
         if "bin" in cfg.formats:
             fio.write_majs(out / "input.majs", field0)
@@ -530,6 +530,9 @@ def _cmd_spectrum(cfg: RunConfig, quiet: bool) -> int:
         print(f"peak mode {peak_mode} carries {peak_fraction:.4f} of norm^2; "
               f"{n_sig} modes above 1e-12 of peak")
     print(f"spectrum written to {out / 'spectrum.csv'}")
+    if not math.isfinite(summary["norm2"]):
+        print("FAIL: the spectrum is not finite")
+        return 1
     return 0
 
 

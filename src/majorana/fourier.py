@@ -4,7 +4,8 @@ The kernel O(p,x) = rotor(-p.x) (pslash g0 + m)/(sqrt(E+m) sqrt(2E)) plays the
 role of e^{-ip.x} u(p): everything stays real, with the orthogonal matrix
 ig0 standing in for the imaginary unit.  pslash g0 + m expands to
 (E+m) I + p_j (ig^j)(ig0), a symmetric matrix, so the kernel splits into a
-commuting rotor factor and a symmetric amplitude A(p).
+commuting rotor factor and a symmetric amplitude A(p) = Ap I + Am(p), where
+Ap is a scalar and Am anticommutes with ig0.
 
 Discretization: periodic cubic grid, exactly dual momentum lattice
 p = 2 pi k / L with k in fft order {0..n/2-1, -n/2..-1}.  On an even grid the
@@ -15,9 +16,11 @@ renormalizes.  With that adjustment discrete orthogonality and completeness
 are exact identities (round-off only), and the grid kernel coincides with the
 continuum kernel on all non-Nyquist modes.
 
-The transforms below never build the (n^3 x n^3) kernel: A(p) anticommutes
-with ig0, so sum_x rotor(-p.x) A(p) Psi(x) = A_+(p) F(p) + A_-(p) F(-p) where
-F is a pure rotor DFT evaluated axis by axis.
+The transforms never build the (n^3 x n^3) kernel or a per-mode rotor.  As
+ig0 squares to -I, a real spinor is a complex 2-spinor z on which ig0 acts
+as i, and every rotor DFT sum_x rotor(-+p.x) F(x) is one complex FFT of z.
+Am acts antilinearly on z and couples p to -p, so each direction is one FFT
+plus an index reversal; the space-time pair adds the time axis to the FFT.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ __all__ = [
     "DegenerateKernelError",
     "energy",
     "rotor",
+    "rotate",
     "kernel_O",
     "CartesianGrid",
     "SpinorField",
@@ -51,8 +55,10 @@ __all__ = [
 
 _REP = build_canonical_rep()
 _G = _REP.generators[0]                      # ig0, the imaginary unit
+_GT = _G.T.copy()                            # contiguous: v @ _GT is a fast matmul
 _IGS = np.stack(_REP.generators[1:])         # (3,4,4) spatial ig^j
 _I4 = np.eye(4)
+_SPACE = (-3, -2, -1)                        # spatial axes in G-complex form
 
 
 class DegenerateKernelError(ValueError):
@@ -69,6 +75,64 @@ def rotor(angle) -> np.ndarray:
     """e^{ig0 angle} = cos(angle) I + sin(angle) ig0; orthogonal, shape (..., 4, 4)."""
     a = np.asarray(angle, dtype=float)
     return np.multiply.outer(np.cos(a), _I4) + np.multiply.outer(np.sin(a), _G)
+
+
+def rotate(angle, v) -> np.ndarray:
+    """rotor(angle) v = cos(angle) v + sin(angle) ig0 v for spinors on the last
+    axis of v; angle broadcasts against v[..., 0].  No 4x4 rotor is built."""
+    a = np.asarray(angle, dtype=float)[..., None]
+    out = np.sin(a) * (v @ _GT)
+    out += np.cos(a) * v
+    return out
+
+
+# G-complex form.  The canonical ig0 maps (v0, v1, v2, v3) to (v2, v3, -v0,
+# -v1), so z = (v0 - i v2, v1 - i v3) turns ig0 into i and rotor(a) into
+# e^{ia}.  The complex component sits on axis 0, ahead of the grid axes.
+
+def _to_complex(v: np.ndarray) -> np.ndarray:
+    z = np.empty((2,) + v.shape[:-1], dtype=complex)
+    z.real = np.moveaxis(v[..., :2], -1, 0)
+    np.negative(np.moveaxis(v[..., 2:], -1, 0), out=z.imag)
+    return z
+
+
+def _to_real(z: np.ndarray) -> np.ndarray:
+    v = np.empty(z.shape[1:] + (4,))
+    v[..., :2] = np.moveaxis(z.real, 0, -1)
+    np.negative(np.moveaxis(z.imag, 0, -1), out=v[..., 2:])
+    return v
+
+
+def _rotor_dft(z: np.ndarray, axes: tuple, sign: int) -> np.ndarray:
+    """sum_j e^{i sign 2 pi k.j/n} z[j] over axes: in G-complex form, the
+    unnormalized rotor DFT sum_x rotor(sign p.x) F(x)."""
+    return np.fft.fftn(z, axes=axes) if sign < 0 else np.fft.ifftn(z, axes=axes, norm="forward")
+
+
+def _kernel_sum(grid, m: float, values: np.ndarray, timed: bool, inverse: bool):
+    """Unweighted sum_x O(p,x) Psi(x), or sum_p O^T(p,x) psi(p) if inverse,
+    as one FFT of the G-complex 2-spinor (axis 1 is time if timed).
+
+    O = rotor(p0 t - p.x) (Ap + Am).  Am anticommutes with ig0, so it acts
+    antilinearly (as K on conj), and moving it through the rotor flips
+    p -> -p: A becomes a -> Ap a + s K conj(a(-p)), with s = -1 on the
+    inverse side as K(-p) = -K(p).  a(-p) is the index reversal k -> -k.
+    """
+    Ap, K = grid._complex_tables(m)
+    axes = _SPACE + ((1,) if timed else ())
+    s = -1 if inverse else 1
+
+    def dft(a):                      # sum e^{i s (p0 t - p.x)} a
+        a = _rotor_dft(a, _SPACE, -s)
+        return _rotor_dft(a, (1,), s) if timed else a
+
+    def amplitude(a):
+        mirror = np.roll(np.flip(a, axes), 1, axes).conj()
+        return Ap * a + s * np.einsum('ab...,b...->a...', K, mirror)
+
+    z = _to_complex(values)
+    return _to_real(dft(amplitude(z)) if inverse else amplitude(dft(z)))
 
 
 def _amplitude(p, m: float) -> np.ndarray:
@@ -111,13 +175,17 @@ class CartesianGrid:
         self.xs = np.arange(self.n) * self.dx
         self.kvecs = np.stack(np.meshgrid(self.ks, self.ks, self.ks, indexing='ij'), -1)
         self.P = 2 * np.pi * self.kvecs / self.L
-        self._mir = (-np.arange(self.n)) % self.n
-        th = 2 * np.pi * np.outer(self.ks, np.arange(self.n)) / self.n
-        self._c, self._s = np.cos(th), np.sin(th)
+        self._energies: dict[float, np.ndarray] = {}
         self._tables: dict[float, tuple] = {}
+        self._ctables: dict[float, tuple] = {}
 
     def energies(self, m: float) -> np.ndarray:
-        return np.sqrt((self.P ** 2).sum(-1) + m * m)
+        """On-shell energies at every lattice momentum (cached, read-only)."""
+        if m not in self._energies:
+            E = np.sqrt((self.P ** 2).sum(-1) + m * m)
+            E.flags.writeable = False
+            self._energies[m] = E
+        return self._energies[m]
 
     def k_index(self, kvec) -> tuple:
         """Array index of integer wavenumber kvec (components in [-n/2, n/2))."""
@@ -146,6 +214,16 @@ class CartesianGrid:
             self._tables[m] = tab
         return tab
 
+    def _complex_tables(self, m: float):
+        """(Ap, K) for the G-complex form: Am anticommutes with ig0, so it
+        acts there as the complex 2x2 matrix K[a, b] (2, 2, n, n, n) on
+        conj(z), read off the first two columns of Am."""
+        if m not in self._ctables:
+            Ap, Am, _ = self._kernel_tables(m)
+            K = np.moveaxis(Am[..., :2, :2] - 1j * Am[..., 2:, :2], (-2, -1), (0, 1))
+            self._ctables[m] = (Ap, np.ascontiguousarray(K))
+        return self._ctables[m]
+
     def kernel(self, kvec, m: float, x) -> np.ndarray:
         """Discrete kernel O(p_k, x) used by the transforms (4x4 at one point).
 
@@ -159,19 +237,6 @@ class CartesianGrid:
         p = self.P[idx]
         A = Ap[idx] * _I4 + Am[idx]
         return rotor(-float(p @ np.asarray(x, dtype=float))) @ A
-
-    def _rotor_stages(self, F: np.ndarray, sign: float) -> np.ndarray:
-        """Per-axis rotor DFT: out[k] = sum_i rotor(sign p_k x_i) F[i], all axes."""
-        for ax in range(3):
-            Fm = np.moveaxis(F, ax, 0)
-            GF = np.einsum('ab,i...b->i...a', _G, Fm)
-            out = np.einsum('ki,i...a->k...a', self._c, Fm) \
-                + sign * np.einsum('ki,i...a->k...a', self._s, GF)
-            F = np.moveaxis(out, 0, ax)
-        return F
-
-    def _mirror(self, F: np.ndarray) -> np.ndarray:
-        return F[np.ix_(self._mir, self._mir, self._mir)]
 
 
 @dataclass
@@ -205,29 +270,23 @@ class MomentumSpectrum:
 
 def forward(field: SpinorField) -> MomentumSpectrum:
     """psi(p) = sum_x O(p,x) Psi(x) dx^3 at every lattice momentum."""
-    g = field.grid
-    Ap, Am, deg = g._kernel_tables(field.mass)
-    F = g._rotor_stages(field.values, -1.0) * g.dx ** 3
-    vals = Ap[..., None] * F + np.einsum('xyzab,xyzb->xyza', Am, g._mirror(F))
-    return MomentumSpectrum(g, vals, field.mass, zero_mode_dropped=bool(deg.any()))
+    g, m = field.grid, field.mass
+    vals = _kernel_sum(g, m, field.values, False, False) * g.dx ** 3
+    return MomentumSpectrum(g, vals, m,
+                            zero_mode_dropped=bool(g._kernel_tables(m)[2].any()))
 
 
 def inverse(spec: MomentumSpectrum) -> SpinorField:
     """Psi(x) = (1/L^3) sum_p O^T(p,x) psi(p)."""
     g = spec.grid
-    Ap, Am, _ = g._kernel_tables(spec.mass)
-    u = Ap[..., None] * spec.values
-    w = np.einsum('xyzab,xyzb->xyza', Am, spec.values)
-    u = u + g._mirror(w)
-    return SpinorField(g, g._rotor_stages(u, +1.0) / g.L ** 3, spec.mass)
+    return SpinorField(g, _kernel_sum(g, spec.mass, spec.values, False, True) / g.L ** 3,
+                       spec.mass)
 
 
 def evolve(spec: MomentumSpectrum, t: float) -> MomentumSpectrum:
     """Free evolution psi(p) -> rotor(-E_p t) psi(p); exactly norm-preserving."""
     E = spec.grid.energies(spec.mass)
-    R = rotor(-E * t)
-    vals = np.einsum('xyzab,xyzb->xyza', R, spec.values)
-    return replace(spec, values=vals)
+    return replace(spec, values=rotate(-E * t, spec.values))
 
 
 def plane_wave(grid: CartesianGrid, kvec, m: float, chi, t: float = 0.0) -> SpinorField:
@@ -240,11 +299,9 @@ def plane_wave(grid: CartesianGrid, kvec, m: float, chi, t: float = 0.0) -> Spin
     E = energy(p, m)
     A = _amplitude(p, m)
     chi = np.asarray(chi, dtype=float)
-    ph = (np.multiply.outer(p[0], grid.xs)[:, None, None]
-          + np.multiply.outer(p[1], grid.xs)[None, :, None]
-          + np.multiply.outer(p[2], grid.xs)[None, None, :]) - E * t
-    vals = np.einsum('ab,xyzbc,c->xyza', A, rotor(ph), chi)
-    return SpinorField(grid, vals, m)
+    xs = grid.xs
+    ph = p[0] * xs[:, None, None] + p[1] * xs[None, :, None] + p[2] * xs - E * t
+    return SpinorField(grid, rotate(ph, chi) @ A.T, m)
 
 
 # ----------------------------------------------------------------------------
@@ -268,18 +325,13 @@ class DiracSpectrum:
     def project(self, sign: int) -> "DiracSpectrum":
         """Apply (1 + sign g0)/2 channel-wise."""
         s = float(sign)
-        Ga = np.einsum('ab,xyzb->xyza', _G, self.re)
-        Gb = np.einsum('ab,xyzb->xyza', _G, self.im)
-        return DiracSpectrum(self.grid, (self.re + s * Gb) / 2.0,
-                             (self.im - s * Ga) / 2.0, self.mass, sign)
+        return DiracSpectrum(self.grid, (self.re + s * (self.im @ _GT)) / 2.0,
+                             (self.im - s * (self.re @ _GT)) / 2.0, self.mass, sign)
 
     def evolve(self, t: float) -> "DiracSpectrum":
         """Rotor evolution applied to both channels (the exact dynamics)."""
-        E = self.grid.energies(self.mass)
-        R = rotor(-E * t)
-        return DiracSpectrum(self.grid,
-                             np.einsum('xyzab,xyzb->xyza', R, self.re),
-                             np.einsum('xyzab,xyzb->xyza', R, self.im),
+        ang = -self.grid.energies(self.mass) * t
+        return DiracSpectrum(self.grid, rotate(ang, self.re), rotate(ang, self.im),
                              self.mass, self.sign)
 
     def phase_evolve(self, t: float) -> "DiracSpectrum":
@@ -309,29 +361,15 @@ def project_particle(spec: MomentumSpectrum, sign: int) -> DiracSpectrum:
 # time axis with frequencies p0 = 2 pi k0 / Lt in fft order.  The time factor
 # is a pure rotor, so no Nyquist adjustment is needed on that axis.
 
-def _time_freqs(nt: int) -> np.ndarray:
-    return np.fft.fftfreq(nt, d=1.0 / nt).astype(int)
-
-
-def _time_stage(values: np.ndarray, Lt: float, sign: float) -> np.ndarray:
-    """out[k] = sum_i rotor(sign p0_k t_i) values[i] along axis 0 (no weight)."""
-    nt = values.shape[0]
-    th = 2 * np.pi * np.outer(_time_freqs(nt), np.arange(nt)) / nt
-    c, s = np.cos(th), np.sin(th)
-    GV = np.einsum('ab,i...b->i...a', _G, values)
-    return np.einsum('ki,i...a->k...a', c, values) \
-        + sign * np.einsum('ki,i...a->k...a', s, GV)
-
-
 def time_rotor_forward(values: np.ndarray, Lt: float) -> np.ndarray:
     """psi(p0) = sum_t rotor(+p0 t) psi(t) dt over the periodic time axis 0."""
     nt = values.shape[0]
-    return _time_stage(values, Lt, +1.0) * (Lt / nt)
+    return _to_real(_rotor_dft(_to_complex(values), (1,), +1)) * (Lt / nt)
 
 
 def time_rotor_inverse(values: np.ndarray, Lt: float) -> np.ndarray:
     """psi(t) = (1/Lt) sum_p0 rotor(-p0 t) psi(p0) along axis 0."""
-    return _time_stage(values, Lt, -1.0) / Lt
+    return _to_real(_rotor_dft(_to_complex(values), (1,), -1)) / Lt
 
 
 @dataclass
@@ -353,19 +391,15 @@ class SpacetimeSpectrum:
 
 
 def spacetime_forward(f4: SpacetimeField) -> SpacetimeSpectrum:
-    """psi(p0, p) = sum_x O(p, x) Psi(x) dx^4: time rotor stage o spatial forward."""
-    g = f4.grid
-    slices = np.stack([forward(SpinorField(g, f4.values[i], f4.mass)).values
-                       for i in range(f4.values.shape[0])])
-    dropped = (f4.mass == 0.0)
-    vals = time_rotor_forward(slices, f4.Lt)
-    return SpacetimeSpectrum(g, f4.Lt, vals, f4.mass, zero_mode_dropped=dropped)
+    """psi(p0, p) = sum_x O(p, x) Psi(x) dx^4 with O = rotor(p0 t) O(pvec, xvec)."""
+    g, m = f4.grid, f4.mass
+    vals = _kernel_sum(g, m, f4.values, True, False) * (g.dx ** 3 * f4.Lt / len(f4.values))
+    return SpacetimeSpectrum(g, f4.Lt, vals, m,
+                             zero_mode_dropped=bool(g._kernel_tables(m)[2].any()))
 
 
 def spacetime_inverse(s4: SpacetimeSpectrum) -> SpacetimeField:
     """Psi(x) = (1/(Lt L^3)) sum_p O^T(p, x) psi(p)."""
     g = s4.grid
-    u = time_rotor_inverse(s4.values, s4.Lt)
-    slices = np.stack([inverse(MomentumSpectrum(g, u[i], s4.mass)).values
-                       for i in range(u.shape[0])])
-    return SpacetimeField(g, s4.Lt, slices, s4.mass)
+    vals = _kernel_sum(g, s4.mass, s4.values, True, True) / (s4.Lt * g.L ** 3)
+    return SpacetimeField(g, s4.Lt, vals, s4.mass)

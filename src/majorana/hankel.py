@@ -30,7 +30,7 @@ from math import pi
 import numpy as np
 
 from .clifford import build_canonical_rep
-from .fourier import rotor, time_rotor_forward, time_rotor_inverse
+from .fourier import rotate, time_rotor_forward, time_rotor_inverse
 from .spherical import (AngularGrid, SIGMA, angular_modes, gamma_r,
                         omega_matrix, sph_jn_table)
 
@@ -251,9 +251,8 @@ def inverse_hankel(spec: HankelSpectrum) -> SphericalField:
 
 def evolve_hankel(spec: HankelSpectrum, t: float) -> HankelSpectrum:
     """Per-mode rotor evolution psi(p,l,mu) -> rotor(-E_p t) psi(p,l,mu)."""
-    R = rotor(-spec.grid.energies(spec.mass) * t)
-    vals = np.einsum('pab,pmb->pma', R, spec.values)
-    return replace(spec, values=vals)
+    ang = -spec.grid.energies(spec.mass) * t
+    return replace(spec, values=rotate(ang[:, None], spec.values))
 
 
 # ----------------------------------------------------------------------------

@@ -15,6 +15,9 @@ byte-identical files.
 
 from __future__ import annotations
 
+import itertools
+import math
+
 import numpy as np
 
 from .fourier import CartesianGrid, MomentumSpectrum, SpacetimeField, SpinorField
@@ -49,24 +52,37 @@ def _fmt(v: float) -> str:
 
 def write_maj1(path, obj) -> None:
     """Write a SpinorField (rank 3) or SpacetimeField (rank 4)."""
-    if isinstance(obj, SpinorField):
-        rank, dims = 3, (obj.grid.n,) * 3
-        boxes = (obj.grid.L,) * 3
-        data = obj.values
-    elif isinstance(obj, SpacetimeField):
-        nt = obj.values.shape[0]
-        rank, dims = 4, (nt,) + (obj.grid.n,) * 3
-        boxes = (obj.Lt,) + (obj.grid.L,) * 3
-        data = obj.values
-    else:
+    if not isinstance(obj, (SpinorField, SpacetimeField)):
         raise TypeError("expected SpinorField or SpacetimeField")
+    dims = obj.values.shape[:-1]
+    boxes = ((obj.Lt,) if isinstance(obj, SpacetimeField) else ()) + (obj.grid.L,) * 3
     with open(path, 'wb') as fh:
         fh.write(_MAGIC_CART)
-        fh.write(np.array([1, rank], dtype=_U32).tobytes())
-        fh.write(np.array(dims, dtype=_U32).tobytes())
-        fh.write(np.array(boxes, dtype=_F64).tobytes())
-        fh.write(np.array([obj.mass], dtype=_F64).tobytes())
-        fh.write(np.ascontiguousarray(data, dtype=_F64).tobytes())
+        fh.write(np.array([1, len(dims), *dims], dtype=_U32).tobytes())
+        fh.write(np.array([*boxes, obj.mass], dtype=_F64).tobytes())
+        fh.write(np.ascontiguousarray(obj.values, dtype=_F64).tobytes())
+
+
+def _read(fh, count: int, dtype, what: str) -> np.ndarray:
+    """Exactly count values of dtype from fh, else FormatError."""
+    raw = fh.read(count * dtype.itemsize)
+    if len(raw) != count * dtype.itemsize:
+        raise FormatError(f"truncated header: {what}")
+    return np.frombuffer(raw, dtype=dtype)
+
+
+def _read_payload(fh, count: int) -> np.ndarray:
+    """The remaining count f64 values, after checking the file length, so a
+    hostile header cannot make the reader allocate more than the file holds."""
+    here = fh.tell()
+    left = fh.seek(0, 2) - here
+    if left < 8 * count:
+        raise FormatError(f"truncated spinor data: {left} bytes left, "
+                          f"header declares {8 * count}")
+    if left > 8 * count:
+        raise FormatError(f"{left - 8 * count} trailing bytes after the spinor data")
+    fh.seek(here)
+    return np.frombuffer(fh.read(8 * count), dtype=_F64)
 
 
 def read_maj1(path):
@@ -74,23 +90,27 @@ def read_maj1(path):
     with open(path, 'rb') as fh:
         if fh.read(4) != _MAGIC_CART:
             raise FormatError("bad magic (expected MAJ1)")
-        version, rank = np.frombuffer(fh.read(8), dtype=_U32)
+        version, rank = _read(fh, 2, _U32, "version/rank")
         if version != 1 or rank not in (3, 4):
             raise FormatError(f"unsupported version/rank: {version}/{rank}")
-        dims = np.frombuffer(fh.read(4 * rank), dtype=_U32).astype(int)
-        boxes = np.frombuffer(fh.read(8 * rank), dtype=_F64)
-        mass = float(np.frombuffer(fh.read(8), dtype=_F64)[0])
-        count = int(np.prod(dims)) * 4
-        data = np.frombuffer(fh.read(8 * count), dtype=_F64)
-        if data.size != count:
-            raise FormatError("truncated spinor data")
-        values = data.reshape(tuple(dims) + (4,)).copy()
-    spatial = dims[-3:]
-    if not (spatial[0] == spatial[1] == spatial[2]):
-        raise FormatError("spatial axes must be cubic")
-    if np.ptp(boxes[-3:]) != 0.0:
-        raise FormatError("spatial box lengths must be equal")
-    grid = CartesianGrid(int(spatial[0]), float(boxes[-1]))
+        dims = [int(d) for d in _read(fh, int(rank), _U32, "axis sizes")]
+        boxes = _read(fh, int(rank), _F64, "box lengths")
+        mass = float(_read(fh, 1, _F64, "mass")[0])
+        if not np.isfinite([*boxes, mass]).all():
+            raise FormatError("box lengths and mass must be finite")
+        spatial = dims[-3:]
+        if not (spatial[0] == spatial[1] == spatial[2]):
+            raise FormatError("spatial axes must be cubic")
+        if np.ptp(boxes[-3:]) != 0.0:
+            raise FormatError("spatial box lengths must be equal")
+        data = _read_payload(fh, math.prod(dims) * 4)   # exact, no int64 wrap
+    if rank == 4 and not (dims[0] >= 1 and boxes[0] > 0):
+        raise FormatError("bad geometry: time axis needs nt >= 1 and Lt > 0")
+    try:
+        grid = CartesianGrid(int(spatial[0]), float(boxes[-1]))
+    except ValueError as e:
+        raise FormatError(f"bad geometry: {e}")
+    values = data.reshape(tuple(dims) + (4,)).copy()
     if rank == 3:
         return SpinorField(grid, values, mass)
     return SpacetimeField(grid, float(boxes[0]), values, mass)
@@ -103,10 +123,8 @@ def write_majs(path, field: SphericalField) -> None:
         fh.write(np.array([1, g.nr, g.angular.ntheta, g.angular.nphi],
                           dtype=_U32).tobytes())
         fh.write(np.array([g.rmax, field.mass], dtype=_F64).tobytes())
-        fh.write(np.ascontiguousarray(g.r, dtype=_F64).tobytes())
-        fh.write(np.ascontiguousarray(g.angular.x, dtype=_F64).tobytes())
-        fh.write(np.ascontiguousarray(g.angular.phi, dtype=_F64).tobytes())
-        fh.write(np.ascontiguousarray(field.values, dtype=_F64).tobytes())
+        for a in (g.r, g.angular.x, g.angular.phi, field.values):
+            fh.write(np.ascontiguousarray(a, dtype=_F64).tobytes())
 
 
 def read_majs(path, lmax: int = 5, np_points: int | None = None) -> SphericalField:
@@ -115,24 +133,24 @@ def read_majs(path, lmax: int = 5, np_points: int | None = None) -> SphericalFie
     with open(path, 'rb') as fh:
         if fh.read(4) != _MAGIC_SPH:
             raise FormatError("bad magic (expected MAJS)")
-        version, nr, ntheta, nphi = np.frombuffer(fh.read(16), dtype=_U32)
+        version, nr, ntheta, nphi = (int(v) for v in _read(fh, 4, _U32, "version/dims"))
         if version != 1:
             raise FormatError(f"unsupported version: {version}")
-        rmax, mass = np.frombuffer(fh.read(16), dtype=_F64)
-        r = np.frombuffer(fh.read(8 * int(nr)), dtype=_F64)
-        x = np.frombuffer(fh.read(8 * int(ntheta)), dtype=_F64)
-        phi = np.frombuffer(fh.read(8 * int(nphi)), dtype=_F64)
-        count = int(nr) * int(ntheta) * int(nphi) * 4
-        data = np.frombuffer(fh.read(8 * count), dtype=_F64)
-        if data.size != count:
-            raise FormatError("truncated spinor data")
-    grid = SphericalGrid(int(nr), float(rmax), int(ntheta), int(nphi),
-                         lmax, int(np_points or nr))
+        rmax, mass = _read(fh, 2, _F64, "rmax/mass")
+        if not np.isfinite([rmax, mass]).all():
+            raise FormatError("rmax and mass must be finite")
+        data = _read_payload(fh, nr + ntheta + nphi + nr * ntheta * nphi * 4)
+    nn = nr + ntheta + nphi
+    r, x, phi = data[:nr], data[nr:nr + ntheta], data[nr + ntheta:nn]
+    try:
+        grid = SphericalGrid(nr, float(rmax), ntheta, nphi, lmax, np_points or nr)
+    except ValueError as e:
+        raise FormatError(f"bad geometry: {e}")
     for stored, built, name in ((r, grid.r, 'r'), (x, grid.angular.x, 'costheta'),
                                 (phi, grid.angular.phi, 'phi')):
         if not np.allclose(stored, built, atol=1e-12):
             raise FormatError(f"stored {name} nodes do not match the grid")
-    values = data.reshape(int(nr), int(ntheta), int(nphi), 4).copy()
+    values = data[nn:].reshape(nr, ntheta, nphi, 4).copy()
     return SphericalField(grid, values, float(mass))
 
 
@@ -143,70 +161,39 @@ def _write_rows(path, header: str, rows) -> None:
             fh.write(','.join(row) + '\n')
 
 
-def write_field_csv(path, field: SpinorField) -> None:
-    g = field.grid
-    xs = g.xs
+def _write_grid_csv(path, header: str, axes, values: np.ndarray) -> None:
+    """One row per grid point in array order: its node coordinates from the
+    1-d axes, then the four spinor components."""
+    points = zip(itertools.product(*axes), values.reshape(-1, 4))
+    _write_rows(path, header, ([_fmt(c) for c in (*x, *v)] for x, v in points))
 
-    def rows():
-        for i in range(g.n):
-            for j in range(g.n):
-                for k in range(g.n):
-                    v = field.values[i, j, k]
-                    yield ([_fmt(xs[i]), _fmt(xs[j]), _fmt(xs[k])]
-                           + [_fmt(c) for c in v])
-    _write_rows(path, 'x,y,z,psi0,psi1,psi2,psi3', rows())
+
+def write_field_csv(path, field: SpinorField) -> None:
+    _write_grid_csv(path, 'x,y,z,psi0,psi1,psi2,psi3', (field.grid.xs,) * 3,
+                    field.values)
 
 
 def write_spacetime_csv(path, f4: SpacetimeField) -> None:
-    g = f4.grid
     nt = f4.values.shape[0]
-    dt = f4.Lt / nt
-    xs = g.xs
-
-    def rows():
-        for it in range(nt):
-            for i in range(g.n):
-                for j in range(g.n):
-                    for k in range(g.n):
-                        v = f4.values[it, i, j, k]
-                        yield ([_fmt(it * dt), _fmt(xs[i]), _fmt(xs[j]), _fmt(xs[k])]
-                               + [_fmt(c) for c in v])
-    _write_rows(path, 'x0,x1,x2,x3,psi0,psi1,psi2,psi3', rows())
+    ts = np.arange(nt) * (f4.Lt / nt)
+    _write_grid_csv(path, 'x0,x1,x2,x3,psi0,psi1,psi2,psi3',
+                    (ts,) + (f4.grid.xs,) * 3, f4.values)
 
 
 def write_spherical_csv(path, field: SphericalField) -> None:
     g = field.grid
-
-    def rows():
-        for i in range(g.nr):
-            for j in range(g.angular.ntheta):
-                for k in range(g.angular.nphi):
-                    v = field.values[i, j, k]
-                    yield ([_fmt(g.r[i]), _fmt(g.angular.theta[j]),
-                            _fmt(g.angular.phi[k])] + [_fmt(c) for c in v])
-    _write_rows(path, 'r,theta,phi,psi0,psi1,psi2,psi3', rows())
+    _write_grid_csv(path, 'r,theta,phi,psi0,psi1,psi2,psi3',
+                    (g.r, g.angular.theta, g.angular.phi), field.values)
 
 
 def write_spectrum_csv(path, spec: MomentumSpectrum) -> None:
-    g = spec.grid
-    ps = 2 * np.pi * g.ks / g.L
-
-    def rows():
-        for i in range(g.n):
-            for j in range(g.n):
-                for k in range(g.n):
-                    v = spec.values[i, j, k]
-                    yield ([_fmt(ps[i]), _fmt(ps[j]), _fmt(ps[k])]
-                           + [_fmt(c) for c in v])
-    _write_rows(path, 'px,py,pz,psi0,psi1,psi2,psi3', rows())
+    ps = 2 * np.pi * spec.grid.ks / spec.grid.L
+    _write_grid_csv(path, 'px,py,pz,psi0,psi1,psi2,psi3', (ps,) * 3, spec.values)
 
 
 def write_hankel_csv(path, spec: HankelSpectrum) -> None:
     g = spec.grid
 
-    def rows():
-        for k in range(g.np_points):
-            for i, (l, mu) in enumerate(g.modes):
-                v = spec.values[k, i]
-                yield ([_fmt(g.p[k]), str(l), str(mu)] + [_fmt(c) for c in v])
-    _write_rows(path, 'p,l,mu,psi0,psi1,psi2,psi3', rows())
+    _write_rows(path, 'p,l,mu,psi0,psi1,psi2,psi3',
+                ([_fmt(g.p[k]), str(l), str(mu)] + [_fmt(c) for c in spec.values[k, i]]
+                 for k in range(g.np_points) for i, (l, mu) in enumerate(g.modes)))

@@ -17,7 +17,6 @@ poles, so no special pole handling is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import factorial, pi
 
 import numpy as np
@@ -30,8 +29,6 @@ __all__ = [
     "majorana_Y",
     "AngularGrid",
     "SIGMA",
-    "SpinOperators",
-    "spin_operators",
     "sigma_r",
     "gamma_r",
     "omega_matrix",
@@ -212,46 +209,24 @@ class AngularGrid:
         return np.einsum('xy,xy...->...', self.weights, F)
 
 
-@dataclass(frozen=True)
-class SpinOperators:
-    """Spin matrices sigma^k = gamma^k gamma^5 plus the radial direction pair.
-
-    sigma^k/2 satisfy the angular-momentum algebra with ig0 as imaginary
-    unit: [sigma^i/2, sigma^j/2] = ig0 eps_ijk sigma^k/2 exactly.
-    """
-    sigma1: np.ndarray
-    sigma2: np.ndarray
-    sigma3: np.ndarray
-
-    def sigmaR(self, theta, phi) -> np.ndarray:
-        return sigma_r(theta, phi)
-
-    def gammaR(self, theta, phi) -> np.ndarray:
-        return gamma_r(theta, phi)
-
-
-def spin_operators() -> SpinOperators:
-    return SpinOperators(*SIGMA)
+def _radial(theta, phi, mats) -> np.ndarray:
+    """xhat_k mats[k] along the radial unit vector xhat(theta, phi)."""
+    theta = np.asarray(theta, dtype=float)
+    phi = np.asarray(phi, dtype=float)
+    xh = np.stack([np.sin(theta) * np.cos(phi),
+                   np.sin(theta) * np.sin(phi),
+                   np.broadcast_to(np.cos(theta), np.broadcast_shapes(theta.shape, phi.shape))], -1)
+    return np.einsum('...k,kab->...ab', xh, np.stack(mats))
 
 
 def sigma_r(theta, phi) -> np.ndarray:
     """Radial spin matrix sigma^r = xhat_k sigma^k."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    xh = np.stack([np.sin(theta) * np.cos(phi),
-                   np.sin(theta) * np.sin(phi),
-                   np.broadcast_to(np.cos(theta), np.broadcast_shapes(theta.shape, phi.shape))], -1)
-    return np.einsum('...k,kab->...ab', xh, np.stack(SIGMA))
+    return _radial(theta, phi, SIGMA)
 
 
 def gamma_r(theta, phi) -> np.ndarray:
     """Radial Majorana matrix i gamma^r = xhat_k (i gamma^k)."""
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    xh = np.stack([np.sin(theta) * np.cos(phi),
-                   np.sin(theta) * np.sin(phi),
-                   np.broadcast_to(np.cos(theta), np.broadcast_shapes(theta.shape, phi.shape))], -1)
-    return np.einsum('...k,kab->...ab', xh, np.stack([_IG[1], _IG[2], _IG[3]]))
+    return _radial(theta, phi, _IG[1:])
 
 
 def angular_modes(lmax: int):

@@ -14,6 +14,7 @@ SMALL_VERIFY = {"command": "verify", "n": 8, "nr": 48, "rmax": 16.0,
                 "ntheta": 12, "nphi": 24, "lmax": 2, "np": 48}
 SMALL_SPH = {"nr": 48, "rmax": 16.0, "ntheta": 12, "nphi": 24,
              "lmax": 2, "np": 48}
+NAN, INF = float("nan"), float("inf")
 
 
 def write_cfg(tmp_path, name, doc):
@@ -196,11 +197,48 @@ def test_spectrum_spherical_single_mode(tmp_path):
     {"command": "evolve", "n": 8,
      "initial": {"type": "single-mode", "p": [4, 0, 0]}},     # Nyquist
     {"command": "evolve", "n": 8, "initial": {"type": "vortex"}},
+    # non-finite values (Python's json reads NaN / Infinity literals)
+    {"command": "evolve", "n": 8, "initial": {"spinor": [NAN, 0, 0, 0]}},
+    {"command": "evolve", "n": 8, "initial": {"width": INF}},
+    {"command": "evolve", "n": 8, "initial": {"center": [4.0, NAN, 4.0]}},
+    {"command": "evolve", "n": 8, "initial": {"boost": [INF, 0.0, 0.0]}},
+    {"command": "evolve", "n": 8, "initial": {"width": [1.0]}},
+    dict(SMALL_SPH, command="evolve", initial={"spinor": [0, 0, -INF, 0]}),
+    dict(SMALL_SPH, command="evolve", initial={"center": NAN}),
+    dict(SMALL_SPH, command="evolve",
+         initial={"type": "single-mode", "p": NAN}),
+    dict(SMALL_SPH, command="evolve",
+         initial={"type": "single-mode", "p": INF}),
+    {"command": "evolve", "n": 8, "tolerances": {"fourier.roundtrip": NAN}},
 ])
 def test_bad_configs_exit_2(tmp_path, doc):
     cfg = write_cfg(tmp_path, "bad.json", doc)
     assert cli.main(["evolve", "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
+
+
+def strict_json(path):
+    """Parse as standard JSON: NaN / Infinity literals are an error."""
+    def reject(tok):
+        raise ValueError(f"non-standard JSON constant {tok}")
+    return json.loads(path.read_text(), parse_constant=reject)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")   # overflow to inf/NaN
+@pytest.mark.parametrize("command", ["evolve", "transform", "spectrum"])
+def test_overflowing_mass_fails_with_valid_json(tmp_path, command):
+    # a finite mass whose square overflows makes every amplitude NaN: the
+    # run must fail (exit 1) and summary.json must stay standard JSON
+    doc = {"command": command, "n": 8, "mass": 1e200}
+    if command == "evolve":
+        doc["time"] = {"steps": 2}
+    code, od = run(tmp_path, command, doc)
+    assert code == 1
+    s = strict_json(od / "summary.json")
+    if command == "spectrum":
+        assert s["norm2"] is None          # NaN written as null
+    else:
+        assert s["passed"] is False
 
 
 def test_missing_and_malformed_config(tmp_path):

@@ -1,5 +1,7 @@
 """Plane-wave transform layer: kernels, round trips, evolution, projections."""
 
+from functools import lru_cache
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -121,6 +123,55 @@ def test_kernel_completeness_direct():
     tgt = np.zeros_like(acc)
     tgt[iy] = np.eye(4)
     np.testing.assert_allclose(acc, tgt, atol=1e-12)
+
+
+# -------------------------------------------------------------- dense oracle
+# The FFT core against the kernel written out entry by entry: every lattice
+# momentum (Nyquist included) against every grid point, from grid.kernel.
+
+@lru_cache(maxsize=None)
+def dense_kernel(n, m):
+    """Matrix of 4x4 blocks O(p_k, x_j), rows and columns in array order."""
+    g = fourier.CartesianGrid(n, 5.0)
+    idx = [(a, b, c) for a in range(n) for b in range(n) for c in range(n)]
+    O = np.zeros((n ** 3, 4, n ** 3, 4))
+    for ik, (a, b, c) in enumerate(idx):
+        k = (g.ks[a], g.ks[b], g.ks[c])
+        for ix, (i, j, l) in enumerate(idx):
+            try:
+                O[ik, :, ix] = g.kernel(k, m, (g.xs[i], g.xs[j], g.xs[l]))
+            except fourier.DegenerateKernelError:
+                pass                  # the transforms drop the massless p = 0
+    return g, O.reshape(4 * n ** 3, 4 * n ** 3)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("m", [0.0, 1.0])
+def test_forward_and_inverse_match_dense_sums(n, m):
+    g, O = dense_kernel(n, m)
+    rng = np.random.default_rng(n)
+    vals = rng.standard_normal((n, n, n, 4))
+    spec = fourier.forward(fourier.SpinorField(g, vals, m))
+    np.testing.assert_allclose(spec.values.ravel(), O @ vals.ravel() * g.dx ** 3,
+                               rtol=0, atol=1e-12)
+    back = fourier.inverse(fourier.MomentumSpectrum(g, vals, m))
+    np.testing.assert_allclose(back.values.ravel(), O.T @ vals.ravel() / g.L ** 3,
+                               rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("m", [0.0, 1.0])
+def test_spacetime_forward_matches_time_rotor_sum(n, m):
+    g, O = dense_kernel(n, m)
+    nt, Lt = 4, 3.0
+    vals = np.random.default_rng(10 + n).standard_normal((nt, n, n, n, 4))
+    got = fourier.spacetime_forward(fourier.SpacetimeField(g, Lt, vals, m)).values
+    ts = np.arange(nt) * (Lt / nt)
+    spatial = (vals.reshape(nt, -1) @ O.T).reshape(nt, n ** 3, 4) * g.dx ** 3
+    for i0, k0 in enumerate(np.fft.fftfreq(nt, 1.0 / nt)):
+        R = fourier.rotor(2 * np.pi * k0 / Lt * ts)          # rotor(+p0 t)
+        want = np.einsum('tab,tkb->ka', R, spatial) * (Lt / nt)
+        np.testing.assert_allclose(got[i0].reshape(-1, 4), want, rtol=0, atol=1e-12)
 
 
 # -------------------------------------------------------------- round trips

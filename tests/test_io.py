@@ -66,6 +66,65 @@ def test_maj1_truncated(tmp_path):
         io.read_maj1(p)
 
 
+MAJ1_HEADER = 4 + 8 + 3 * 4 + 3 * 8 + 8          # rank-3 header bytes
+
+
+def test_maj1_truncated_at_every_header_offset(tmp_path):
+    p = tmp_path / "h.maj1"
+    io.write_maj1(p, cart_field())
+    raw = p.read_bytes()
+    cut = tmp_path / "cut.maj1"
+    for k in range(MAJ1_HEADER + 9):      # every header byte, then into the data
+        cut.write_bytes(raw[:k])
+        with pytest.raises(io.FormatError):
+            io.read_maj1(cut)
+
+
+def test_maj1_magic_and_version_only(tmp_path):
+    p = tmp_path / "v.maj1"
+    p.write_bytes(b"MAJ1" + np.array([1], dtype='<u4').tobytes())
+    with pytest.raises(io.FormatError, match="truncated header"):
+        io.read_maj1(p)
+
+
+def test_maj1_rejects_trailing_bytes_and_huge_dims(tmp_path):
+    p = tmp_path / "f.maj1"
+    io.write_maj1(p, cart_field())
+    raw = p.read_bytes()
+    p.write_bytes(raw + b"\0" * 8)
+    with pytest.raises(io.FormatError, match="trailing"):
+        io.read_maj1(p)
+    # dims of 2^31 per axis: rejected by the length check, nothing allocated
+    big = bytearray(raw)
+    big[12:24] = np.array([2 ** 31] * 3, dtype='<u4').tobytes()
+    p.write_bytes(bytes(big))
+    with pytest.raises(io.FormatError, match="truncated"):
+        io.read_maj1(p)
+
+
+@pytest.mark.parametrize("offset", [24, 32, 40, 48])   # the three L, then mass
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_maj1_rejects_non_finite_geometry(tmp_path, offset, bad):
+    p = tmp_path / "f.maj1"
+    io.write_maj1(p, cart_field())
+    raw = bytearray(p.read_bytes())
+    raw[offset:offset + 8] = np.array([bad]).tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(io.FormatError, match="finite"):
+        io.read_maj1(p)
+
+
+def test_maj1_rejects_degenerate_grid(tmp_path):
+    g = fourier.CartesianGrid(2, 2.0)
+    p = tmp_path / "g.maj1"
+    io.write_maj1(p, fourier.SpinorField(g, np.zeros((2, 2, 2, 4)), 1.0))
+    raw = bytearray(p.read_bytes())
+    raw[12:24] = np.array([1, 1, 1], dtype='<u4').tobytes()   # odd n
+    p.write_bytes(bytes(raw[:MAJ1_HEADER]) + b"\0" * 32)
+    with pytest.raises(io.FormatError, match="geometry"):
+        io.read_maj1(p)
+
+
 def test_majs_roundtrip_exact(tmp_path):
     g = hankel.SphericalGrid(16, 8.0, 6, 12, 2, 16)
     f = hankel.SphericalField(g, RNG.standard_normal((16, 6, 12, 4)), 0.7)
@@ -90,6 +149,50 @@ def test_majs_bad_magic_and_truncation(tmp_path):
     q.write_bytes(q.read_bytes()[:-8])
     with pytest.raises(io.FormatError, match="truncated"):
         io.read_majs(q)
+
+
+MAJS_HEADER = 4 + 4 * 4 + 2 * 8
+
+
+def small_majs(tmp_path):
+    g = hankel.SphericalGrid(16, 8.0, 6, 12, 1, 16)
+    p = tmp_path / "s.majs"
+    io.write_majs(p, hankel.SphericalField(g, RNG.standard_normal((16, 6, 12, 4)), 1.0))
+    return p
+
+
+def test_majs_truncated_at_every_header_offset(tmp_path):
+    raw = small_majs(tmp_path).read_bytes()
+    cut = tmp_path / "cut.majs"
+    nodes = 8 * (16 + 6 + 12)
+    for k in range(MAJS_HEADER + nodes + 9):   # header, node arrays, into the data
+        cut.write_bytes(raw[:k])
+        with pytest.raises(io.FormatError):
+            io.read_majs(cut, lmax=1, np_points=16)
+
+
+@pytest.mark.parametrize("offset", [20, 28])           # rmax, mass
+@pytest.mark.parametrize("bad", [np.nan, -np.inf])
+def test_majs_rejects_non_finite_geometry(tmp_path, offset, bad):
+    p = small_majs(tmp_path)
+    raw = bytearray(p.read_bytes())
+    raw[offset:offset + 8] = np.array([bad]).tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(io.FormatError, match="finite"):
+        io.read_majs(p, lmax=1, np_points=16)
+
+
+def test_majs_rejects_huge_dims_and_trailing_bytes(tmp_path):
+    p = small_majs(tmp_path)
+    raw = p.read_bytes()
+    p.write_bytes(raw + b"\0" * 8)
+    with pytest.raises(io.FormatError, match="trailing"):
+        io.read_majs(p, lmax=1, np_points=16)
+    big = bytearray(raw)
+    big[8:20] = np.array([2 ** 31] * 3, dtype='<u4').tobytes()
+    p.write_bytes(bytes(big))
+    with pytest.raises(io.FormatError, match="truncated"):
+        io.read_majs(p, lmax=1, np_points=16)
 
 
 def test_majs_node_consistency_check(tmp_path):
