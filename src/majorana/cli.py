@@ -367,7 +367,7 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
         vg_meas = ((np.array(rows[-1][4:7]) - c0) / tend if tend > 0
                    else np.zeros(3))
         header = "step,t,norm,energy,cx,cy,cz"
-        final = fourier.inverse(cur)
+        final = fld
         if "bin" in cfg.formats:
             fio.write_maj1(out / "final.maj1", final)
         if "csv" in cfg.formats:
@@ -390,10 +390,8 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
         wtot = w.sum()
         energy = float((E * w).sum() / wtot) if wtot > 0 else 0.0
         norm0 = spec.norm2()
-        cur = spec
         for k in range(cfg.steps + 1):
-            if k:
-                cur = hankel.evolve_hankel(cur, cfg.dt)
+            cur = hankel.evolve_hankel(spec, k * cfg.dt) if k else spec
             rows.append((k, k * cfg.dt, cur.norm2(), energy))
         drift = _rel(np.abs(np.array([r[2] for r in rows]) - norm0).max(), norm0)
         header = "step,t,norm,energy"

@@ -8,11 +8,11 @@ and a table builder for spherical Bessel functions.
 
 Angular grids are Gauss-Legendre in cos(theta) times uniform phi, which makes
 every angular quadrature below exact for band-limited integrands.  The theta
-derivative is evaluated per azimuthal Fourier mode: even-m modes are
-polynomials in cos(theta) (differentiation matrix applies directly), odd-m
-modes carry one factor of sin(theta) that is peeled off analytically, so the
-operator is exact on fields of bounded degree.  The Gauss nodes exclude the
-poles, so no special pole handling is needed.
+derivative acts on the azimuthal Fourier coefficients: even-m ones are
+polynomials in cos(theta), odd-m ones carry one factor of sin(theta) that is
+divided out first, then one real matmul by the d/dcos(theta) matrix serves all
+modes, so the operator is exact on fields of bounded degree.  The Gauss nodes
+exclude the poles, so no special pole handling is needed.
 """
 
 from __future__ import annotations
@@ -104,15 +104,10 @@ def majorana_Y(l: int, m: int, theta, phi) -> np.ndarray:
 def _barycentric_diffmat(x: np.ndarray) -> np.ndarray:
     """First-derivative collocation matrix on distinct nodes x (barycentric)."""
     n = len(x)
-    lam = np.empty(n)
-    for i in range(n):
-        lam[i] = 1.0 / np.prod(x[i] - np.delete(x, i))
-    D = np.zeros((n, n))
-    for i in range(n):
-        for j in range(n):
-            if i != j:
-                D[i, j] = (lam[j] / lam[i]) / (x[i] - x[j])
-        D[i, i] = -D[i].sum()   # rows sum to zero (derivative of constants)
+    lam = 1.0 / np.array([np.prod(x[i] - np.delete(x, i)) for i in range(n)])
+    D = (lam[None, :] / lam[:, None]) / (x[:, None] - x[None, :] + np.eye(n))
+    np.fill_diagonal(D, 0.0)
+    np.fill_diagonal(D, -D.sum(1))   # rows sum to zero (derivative of constants)
     return D
 
 
@@ -141,6 +136,12 @@ class AngularGrid:
         self.weights = self.wx[:, None] * (2 * pi / self.nphi) * np.ones_like(self.ct)
         self._dx = _barycentric_diffmat(self.x)
         self._sin = np.sqrt(1.0 - self.x ** 2)
+        # L_k = ig0 (a_k d/dtheta + b_k d/dphi), rows k = 1, 2, 3 of (a_k, b_k);
+        # sigma.L = A d/dtheta + B d/dphi with (A, B) = sum_k sigma^k ig0 (a_k, b_k)
+        sp, cp, cot = np.sin(self.ph), np.cos(self.ph), self.ct / self.st
+        zero = np.zeros_like(sp)
+        self._lcoef = np.array([[sp, cot * cp], [-cp, cot * sp], [zero, zero - 1]])
+        self._sl = np.einsum('kdxy,kab->dxyab', self._lcoef, np.stack(SIGMA) @ _G)
 
     # -- derivatives ------------------------------------------------------
 
@@ -154,59 +155,59 @@ class AngularGrid:
     def dtheta(self, F: np.ndarray) -> np.ndarray:
         """d/dtheta along axis 0, exact on band-limited fields.
 
-        Per azimuthal Fourier mode m: even-m components are polynomials in
-        x = cos(theta), so d/dtheta = -sin(theta) d/dx; odd-m components are
-        sin(theta) times a polynomial g(x), whose theta-derivative is
-        x g - (1 - x^2) dg/dx.
+        On the azimuthal Fourier coefficients: even-m components are
+        polynomials in x = cos(theta), so d/dtheta = -sin(theta) d/dx; odd-m
+        components are sin(theta) times a polynomial g(x), whose
+        theta-derivative is x g - (1 - x^2) dg/dx.  After g is divided out,
+        one real matmul with the d/dx matrix serves all modes.
         """
-        Fh = np.fft.rfft(F, axis=1)
-        out = np.empty_like(Fh)
-        nth = self.ntheta
-        xx = self.x.reshape((nth,) + (1,) * (F.ndim - 2))
-        ss = self._sin.reshape((nth,) + (1,) * (F.ndim - 2))
-        for m in range(self.nphi // 2 + 1):
-            fm = Fh[:, m]
-            if m % 2 == 0:
-                out[:, m] = -ss * np.einsum('ij,j...->i...', self._dx, fm)
-            else:
-                g = fm / ss
-                out[:, m] = xx * g - (1 - xx ** 2) * np.einsum('ij,j...->i...', self._dx, g)
-        return np.fft.irfft(out, n=self.nphi, axis=1)
+        col = (self.ntheta, 1) + (1,) * (F.ndim - 2)
+        s, x = self._sin.reshape(col), self.x.reshape(col)
+        Fh = np.ascontiguousarray(np.fft.rfft(F, axis=1))
+        Fh[:, 1::2] /= s
+        dh = (self._dx @ Fh.reshape(self.ntheta, -1).view(float)).view(complex).reshape(Fh.shape)
+        dh *= -s
+        dh[:, 1::2] *= s                   # odd m: -(1 - x^2) dg/dx ...
+        dh[:, 1::2] += x * Fh[:, 1::2]     # ... + x g
+        return np.fft.irfft(dh, n=self.nphi, axis=1)
 
     # -- angular momentum --------------------------------------------------
 
     def angular_momentum_apply(self, F: np.ndarray, k: int) -> np.ndarray:
         """Apply L_k (k = 1, 2, 3) to a spinor field F of shape (nth, nph, 4, ...).
 
-        L_3 = -ig0 d/dphi; L_1, L_2 by the usual spherical expressions with
-        ig0 in place of i.  The matrix ig0 multiplies the spinor index
-        (axis 2).
+        L_k = ig0 (a_k d/dtheta + b_k d/dphi) with ig0 in place of i:
+        L_1 = ig0 (sin(phi) d_theta + cot(theta) cos(phi) d_phi),
+        L_2 = ig0 (-cos(phi) d_theta + cot(theta) sin(phi) d_phi),
+        L_3 = -ig0 d_phi.  The matrix ig0 multiplies the spinor index (axis 2).
         """
-        nd = F.ndim - 2
-        cot = (self.ct / self.st).reshape(self.ct.shape + (1,) * nd)
-        sph = np.sin(self.ph).reshape(self.ph.shape + (1,) * nd)
-        cph = np.cos(self.ph).reshape(self.ph.shape + (1,) * nd)
-        if k == 3:
-            inner = -self.dphi(F)
-        elif k == 1:
-            inner = sph * self.dtheta(F) + cot * cph * self.dphi(F)
-        elif k == 2:
-            inner = -cph * self.dtheta(F) + cot * sph * self.dphi(F)
-        else:
+        if k not in (1, 2, 3):
             raise ValueError("k must be 1, 2 or 3")
-        return np.einsum('ab,xyb...->xya...', _G, inner)
+        a, b = (c.reshape(c.shape + (1,) * (F.ndim - 2)) for c in self._lcoef[k - 1])
+        inner = b * self.dphi(F)
+        if k != 3:
+            inner += a * self.dtheta(F)
+        return _spin(_G, inner)
 
     def sigma_dot_L(self, F: np.ndarray) -> np.ndarray:
-        """Apply sigma.L = sum_k sigma^k L_k (spin times orbital)."""
-        out = np.zeros_like(F)
-        for k in (1, 2, 3):
-            out += np.einsum('ab,xyb...->xya...', SIGMA[k - 1],
-                             self.angular_momentum_apply(F, k))
-        return out
+        """Apply sigma.L = sum_k sigma^k L_k (spin times orbital).
+
+        Collected by derivative, sigma.L = A d/dtheta + B d/dphi with
+        A = sin(phi) sigma^1 G - cos(phi) sigma^2 G and
+        B = cot(theta) (cos(phi) sigma^1 G + sin(phi) sigma^2 G) - sigma^3 G,
+        G = ig0: one d/dtheta, one d/dphi and two batched 4x4 matmuls.
+        """
+        A, B = self._sl
+        return _spin(A, self.dtheta(F)) + _spin(B, self.dphi(F))
 
     def integrate(self, F: np.ndarray) -> np.ndarray:
         """Quadrature over the sphere; F shape (nth, nph, ...)."""
         return np.einsum('xy,xy...->...', self.weights, F)
+
+
+def _spin(M: np.ndarray, F: np.ndarray) -> np.ndarray:
+    """M F on the spinor axis 2 of F (nth, nph, 4, ...); M is (4, 4) or (nth, nph, 4, 4)."""
+    return (M @ F.reshape(F.shape[:3] + (-1,))).reshape(F.shape)
 
 
 def _radial(theta, phi, mats) -> np.ndarray:

@@ -1,14 +1,22 @@
 """Command-line driver: exit codes, artifacts, determinism, config errors."""
 
+import contextlib
+import io
 import json
+import math
 import os
 import shutil
 import subprocess
+import tempfile
+import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from majorana import cli
+from majorana import io as fio
 
 SMALL_VERIFY = {"command": "verify", "n": 8, "nr": 48, "rmax": 16.0,
                 "ntheta": 12, "nphi": 24, "lmax": 2, "np": 48}
@@ -77,6 +85,17 @@ def test_evolve_deterministic(tmp_path):
     _, od2 = run(tmp_path, "evolve", doc, out="o2")
     assert (od1 / "frames.csv").read_bytes() == (od2 / "frames.csv").read_bytes()
     assert (od1 / "final.maj1").read_bytes() == (od2 / "final.maj1").read_bytes()
+
+
+def test_evolve_zero_steps_writes_initial_field(tmp_path):
+    doc = {"command": "evolve", "n": 8, "mass": 1.0, "time": {"steps": 0},
+           "output": {"formats": ["bin"]}}
+    code, od = run(tmp_path, "evolve", doc)
+    assert code == 0
+    cfg = cli.load_config(str(tmp_path / "evolve.json"), "evolve", None)
+    _, field0 = cli._initial_cartesian(cfg)
+    np.testing.assert_array_equal(fio.read_maj1(od / "final.maj1").values,
+                                  field0.values)
 
 
 def test_evolve_boosted_packet_tracks_group_velocity(tmp_path):
@@ -210,6 +229,8 @@ def test_spectrum_spherical_single_mode(tmp_path):
     dict(SMALL_SPH, command="evolve",
          initial={"type": "single-mode", "p": INF}),
     {"command": "evolve", "n": 8, "tolerances": {"fourier.roundtrip": NAN}},
+    dict(SMALL_SPH, command="evolve", initial={"l": 1.5}),    # not integers
+    dict(SMALL_SPH, command="evolve", initial={"l": 2, "mu": 0.5}),
 ])
 def test_bad_configs_exit_2(tmp_path, doc):
     cfg = write_cfg(tmp_path, "bad.json", doc)
@@ -239,6 +260,91 @@ def test_overflowing_mass_fails_with_valid_json(tmp_path, command):
         assert s["norm2"] is None          # NaN written as null
     else:
         assert s["passed"] is False
+
+
+# valid small configs; the property test then corrupts 0-2 of their entries
+UNIT = st.floats(-2.0, 2.0)
+CART = st.fixed_dictionaries(
+    {"n": st.sampled_from([2, 4, 6]), "L": st.floats(2.0, 10.0),
+     "initial": st.one_of(
+         st.fixed_dictionaries(
+             {"type": st.just("gaussian"), "spinor": st.lists(UNIT, min_size=4, max_size=4),
+              "center": st.lists(st.floats(0.0, 10.0), min_size=3, max_size=3),
+              "width": st.floats(0.3, 3.0)},
+             optional={"boost": st.lists(UNIT, min_size=3, max_size=3)}),
+         st.fixed_dictionaries(
+             {"type": st.just("single-mode"),
+              "p": st.lists(st.integers(-2, 2), min_size=3, max_size=3)}))})
+SPH = st.fixed_dictionaries(
+    {"nr": st.integers(8, 16), "rmax": st.floats(4.0, 20.0),
+     "ntheta": st.sampled_from([4, 6]), "nphi": st.sampled_from([4, 8]),
+     "lmax": st.integers(1, 2), "np": st.integers(2, 16),
+     "initial": st.fixed_dictionaries(
+         {"type": st.sampled_from(["gaussian", "single-mode"]),
+          "spinor": st.lists(UNIT, min_size=4, max_size=4),
+          "center": st.floats(0.5, 10.0), "width": st.floats(0.3, 4.0),
+          "p": st.floats(0.1, 3.0), "l": st.just(1), "mu": st.integers(-1, 0)})})
+# non-finite, zero, negative and overflowing numbers, and wrong types
+HOSTILE = st.sampled_from([NAN, INF, -INF, 0.0, -1.0, -2.5, 1e200, -1e200,
+                           "x", None, True, [], {}, [1.0], 1.5])
+
+
+def entries(doc, prefix=()):
+    """Paths to every entry of a nested dict/list config."""
+    for k, v in (doc.items() if isinstance(doc, dict) else enumerate(doc)):
+        yield prefix + (k,)
+        if isinstance(v, (dict, list)):
+            yield from entries(v, prefix + (k,))
+
+
+@st.composite
+def hostile_configs(draw):
+    doc = draw(st.one_of(CART, SPH))
+    doc.update(command=draw(st.sampled_from(["evolve", "transform", "spectrum"])),
+               mass=draw(st.floats(0.0, 4.0)),
+               time={"steps": draw(st.integers(0, 3)), "dt": draw(st.floats(0.0, 0.2))},
+               output={"formats": ["csv", "bin"]})
+    for _ in range(draw(st.integers(0, 2))):
+        *parent, key = draw(st.sampled_from(sorted(entries(doc), key=repr)))
+        node = doc
+        for k in parent:
+            node = node[k]
+        if key != "command":
+            node[key] = draw(HOSTILE)
+    return doc
+
+
+def finite_json(path):
+    """strict_json plus a walk asserting every number is finite."""
+    def walk(v):
+        if isinstance(v, dict):
+            return all(walk(x) for x in v.values())
+        if isinstance(v, list):
+            return all(walk(x) for x in v)
+        return not isinstance(v, float) or math.isfinite(v)
+    assert walk(strict_json(path)), path
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(doc=hostile_configs())
+def test_cli_hostile_configs_exit_cleanly(doc):
+    # every config either exits 2 with a message, or exits 0/1 leaving only
+    # standard JSON with finite numbers
+    command = doc["command"]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "c.json"
+        cfg.write_text(json.dumps(doc))
+        od = Path(tmp) / "out"
+        err = io.StringIO()
+        with (warnings.catch_warnings(), contextlib.redirect_stderr(err),
+              contextlib.redirect_stdout(io.StringIO())):
+            warnings.simplefilter("ignore")
+            code = cli.main([command, "--config", str(cfg), "--out", str(od), "--quiet"])
+        if code == 2:
+            assert err.getvalue().startswith("error: "), err.getvalue()
+            return
+        assert code in (0, 1), (code, err.getvalue())
+        finite_json(od / "summary.json")
 
 
 def test_missing_and_malformed_config(tmp_path):

@@ -27,7 +27,7 @@ def test_angular_mode_bounds():
     m = hankel.AngularMode(2, 1)
     assert tuple(m) == (2, 1)
     assert tuple(m.partner) == (2, -2)
-    for l, mu in [(0, 0), (1, 1), (2, -3), (3, 3)]:
+    for l, mu in [(0, 0), (1, 1), (2, -3), (3, 3), (1.5, 0), (2, 0.5), (2.0, 0)]:
         with pytest.raises(ValueError):
             hankel.AngularMode(l, mu)
 
@@ -151,6 +151,14 @@ def test_evolve_preserves_norm(grid):
 def test_eigen_relation(grid, p, mode):
     # residual dominated by the (p dr)^6 radial-stencil truncation
     assert hankel.eigen_relation_residual(grid, p, mode, 1.0) < 1e-5
+
+
+def test_spatial_slash_trailing_axes_match_columns(grid):
+    vals = RNG.standard_normal((grid.nr, 12, 24, 4, 4))
+    got = hankel._spatial_slash(grid, vals)
+    ref = np.stack([hankel._spatial_slash(grid, np.ascontiguousarray(vals[..., c]))
+                    for c in range(4)], -1)
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
 def test_dirac_apply_zeroes_stencil_boundary(grid):

@@ -97,6 +97,64 @@ def test_angular_momentum_eigenfunctions():
         np.testing.assert_allclose(L2F, l * (l + 1) * F, atol=1e-9)
 
 
+# ------------------------------------------ derivative layer: dense oracles
+
+def _dtheta_ref(grid, F):
+    """d/dtheta one azimuthal mode at a time (the plain per-m loop)."""
+    Fh = np.fft.rfft(F, axis=1)
+    out = np.empty_like(Fh)
+    xx = grid.x.reshape((-1,) + (1,) * (F.ndim - 2))
+    ss = np.sqrt(1 - xx ** 2)
+    for m in range(grid.nphi // 2 + 1):
+        fm = Fh[:, m]
+        if m % 2 == 0:
+            out[:, m] = -ss * np.einsum('ij,j...->i...', grid._dx, fm)
+        else:
+            g = fm / ss
+            out[:, m] = xx * g - (1 - xx ** 2) * np.einsum('ij,j...->i...', grid._dx, g)
+    return np.fft.irfft(out, n=grid.nphi, axis=1)
+
+
+def _L_ref(grid, F, k):
+    """L_k F from the textbook expressions, ig0 in place of i."""
+    nd = F.ndim - 2
+    th = grid.theta.reshape((-1, 1) + (1,) * nd)
+    ph = grid.phi.reshape((1, -1) + (1,) * nd)
+    dth, dph = _dtheta_ref(grid, F), grid.dphi(F)
+    inner = {1: np.sin(ph) * dth + np.cos(ph) / np.tan(th) * dph,
+             2: -np.cos(ph) * dth + np.sin(ph) / np.tan(th) * dph,
+             3: -dph}[k]
+    return np.einsum('ab,xyb...->xya...', G, inner)
+
+
+def _sigma_dot_L_ref(grid, F):
+    """sum_k sigma^k L_k F, one k at a time."""
+    return sum(np.einsum('ab,xyb...->xya...', spherical.SIGMA[k - 1],
+                         _L_ref(grid, F, k)) for k in (1, 2, 3))
+
+
+def _close(got, ref):
+    np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
+
+
+@pytest.mark.parametrize("ntheta,nphi", [(9, 12), (8, 10), (5, 16)])
+@pytest.mark.parametrize("tail", [(4,), (4, 5), (4, 4, 5)])
+def test_derivatives_match_per_mode_oracle(ntheta, nphi, tail):
+    # random fields are not band-limited: every azimuthal mode, odd and even,
+    # and the Nyquist mode carry weight, unlike the eigen-identity tests
+    grid = spherical.AngularGrid(ntheta, nphi)
+    F = RNG.standard_normal((ntheta, nphi) + tail)
+    _close(grid.dtheta(F), _dtheta_ref(grid, F))
+    for k in (1, 2, 3):
+        _close(grid.angular_momentum_apply(F, k), _L_ref(grid, F, k))
+    _close(grid.sigma_dot_L(F), _sigma_dot_L_ref(grid, F))
+
+
+def test_angular_momentum_rejects_bad_component():
+    with pytest.raises(ValueError):
+        spherical.AngularGrid(4, 8).angular_momentum_apply(np.zeros((4, 8, 4)), 0)
+
+
 # ------------------------------------------------------------ spin operators
 
 def test_spin_algebra():
