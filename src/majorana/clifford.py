@@ -31,6 +31,7 @@ __all__ = [
     "verify_basis_independence",
     "intertwiner",
     "MINKOWSKI",
+    "CANONICAL", "IG", "IG5", "I4", "SIGMA", "PROJ_UP", "PROJ_DN",
 ]
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -153,6 +154,19 @@ def build_canonical_rep() -> MajoranaRep:
                     [-1, 0, 0, 0],
                     [0, -1, 0, 0]], dtype=float)
     return rep_from_generators(ig0, ig1, ig2, ig3, check=False)
+
+
+# The canonical representation, built once: the other modules import it and
+# these constants.  They are shared, so they are read-only.
+CANONICAL = build_canonical_rep()
+IG = CANONICAL.generators                    # i gamma^0 .. i gamma^3
+IG5 = CANONICAL.gamma5
+I4 = np.eye(4)
+# spin sigma^k = gamma^k gamma^5 = -(i gamma^k)(i gamma^5); sigma^3 is diagonal
+SIGMA = tuple(-(IG[k] @ IG5) for k in (1, 2, 3))
+PROJ_UP, PROJ_DN = (I4 + SIGMA[2]) / 2.0, (I4 - SIGMA[2]) / 2.0
+for _m in (*CANONICAL.gamma_basis, I4, *SIGMA, PROJ_UP, PROJ_DN):
+    _m.flags.writeable = False
 
 
 def _index_in_gamma(A: np.ndarray, rep: MajoranaRep, tol: float = 1e-9):

@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass, replace
 
-from .clifford import build_canonical_rep
+from .clifford import I4 as _I4, IG as _IG
 
 __all__ = [
     "DegenerateKernelError",
@@ -53,11 +53,9 @@ __all__ = [
     "time_rotor_inverse",
 ]
 
-_REP = build_canonical_rep()
-_G = _REP.generators[0]                      # ig0, the imaginary unit
+_G = _IG[0]                                  # ig0, the imaginary unit
 _GT = _G.T.copy()                            # contiguous: v @ _GT is a fast matmul
-_IGS = np.stack(_REP.generators[1:])         # (3,4,4) spatial ig^j
-_I4 = np.eye(4)
+_IGS = np.stack(_IG[1:])                     # (3,4,4) spatial ig^j
 _SPACE = (-3, -2, -1)                        # spatial axes in G-complex form
 
 

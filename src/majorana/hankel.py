@@ -13,7 +13,9 @@ Lambda^T Psi; inverse weight dp (E+m)/(E pi) per momentum node.  The
 identity ig^r Omega_{l,mu} = (-1)^mu Omega_{l,-mu-1} ig5 turns the ig^r
 terms into couplings with the partner mode (l, -mu-1), so both directions
 factorize into an angular projection followed by radial quadratures — the
-full (grid x grid) kernel is never built.
+full (grid x grid) kernel is never built.  Per l, the radial stage is two
+Bessel matmuls (j_l, j_{l-1}) and one spinor structure (_l_block); the
+inverse applies their transposes.
 
 Discretization: midpoint radial nodes r_i = (i+1/2) dr on (0, rmax) and
 midpoint momentum nodes on (0, pmax) with pmax = pi nr / rmax; both stay
@@ -29,10 +31,10 @@ from math import pi
 
 import numpy as np
 
-from .clifford import build_canonical_rep
+from .clifford import IG, IG5, PROJ_DN, PROJ_UP
 from .fourier import rotate, time_rotor_forward, time_rotor_inverse
-from .spherical import (AngularGrid, SIGMA, angular_modes, gamma_r,
-                        omega_matrix, sph_jn_table)
+from .spherical import (AngularGrid, angular_modes, gamma_r, omega_matrix,
+                        sph_jn_table)
 
 __all__ = [
     "AngularMode",
@@ -52,12 +54,7 @@ __all__ = [
     "spacetime_hankel_inverse",
 ]
 
-_REP = build_canonical_rep()
-_G = _REP.generators[0]
-_IG5 = _REP.gamma5
-_I4 = np.eye(4)
-_PP = (_I4 + SIGMA[2]) / 2.0
-_PM = (_I4 - SIGMA[2]) / 2.0
+_G = IG[0]
 
 
 @dataclass(frozen=True)
@@ -184,8 +181,8 @@ def hankel_kernel(p: float, mode, r, theta, phi, m: float) -> np.ndarray:
     jl, jlm1 = jt[l], jt[l - 1]
     om = omega_matrix(l, mu, theta, phi)
     igr = gamma_r(theta, phi)
-    A = om @ _PP
-    B = om @ _PM
+    A = om @ PROJ_UP
+    B = om @ PROJ_DN
     gA = igr @ A
     gB = igr @ B
     shape = np.broadcast_shapes(jl.shape, A.shape[:-2])
@@ -201,52 +198,54 @@ def kernel_on_grid(grid: SphericalGrid, p: float, mode, m: float) -> np.ndarray:
     return hankel_kernel(p, mode, grid.r[:, None, None], th, ph, m)
 
 
-def forward_hankel(field: SphericalField) -> HankelSpectrum:
-    """psi(p,l,mu) = integral r^2 dr dOmega Lambda^T(p,l,mu) Psi.
+def _l_block(l: int):
+    """Modes slice of one l (contiguous in scan order) and its spinor structure.
 
-    Warns when the field carries significant weight near rmax (the radial
-    quadrature assumes decay before the cutoff).
+    From Z = [j_l a, j_{l-1} a] (radial sums of the block's projections a,
+    flattened per p), psi = p Z D^T + (E-m) Z C^T.  D takes the sigma3-up
+    components from j_l and the down ones from j_{l-1}; C couples each mode to
+    its partner, the same position from the block's end, with sign (-1)^mu.
+    The inverse maps the weighted spectrum back by the transpose: Z = p psi D
+    + (E-m) psi C, then the transposed Bessel tables.
     """
+    rev = np.fliplr(np.diag((-1.0) ** np.arange(-l, l)))
+    eye = np.eye(2 * l)
+    D = np.hstack([np.kron(eye, PROJ_UP), np.kron(eye, PROJ_DN)])
+    C = np.hstack([np.kron(rev, PROJ_DN @ IG5), -np.kron(rev, PROJ_UP @ IG5)])
+    return slice(l * (l - 1), l * (l + 1)), D, C
+
+
+def forward_hankel(field: SphericalField) -> HankelSpectrum:
+    """psi(p,l,mu) = integral r^2 dr dOmega Lambda^T(p,l,mu) Psi; warns when the
+    field carries weight near rmax, before which the quadrature assumes decay."""
     g = field.grid
-    if field.tail_fraction() > 1e-8 and field.norm2() > 0:
+    if field.tail_fraction() > 1e-8:
         warnings.warn("field tail at rmax exceeds 1e-8 of norm^2; "
                       "radial truncation error may dominate", stacklevel=2)
     m = field.mass
-    E = g.energies(m)
-    a = np.einsum('mxyba,rxyb,xy->mra', g.omegas, field.values,
-                  g.angular.weights, optimize=True)
-    out = np.zeros((g.np_points, len(g.modes), 4))
-    for i, (l, mu) in enumerate(g.modes):
-        jl, jlm1 = g.jt[l], g.jt[l - 1]
-        apro = a[i]
-        apart = a[g.mode_index[(l, -mu - 1)]]
-        t1 = np.einsum('pr,r,ra->pa', jl * g.p[:, None], g.wr, apro @ _PP)
-        t2 = np.einsum('pr,r,ra->pa', jlm1 * g.p[:, None], g.wr, apro @ _PM)
-        c = (-1.0) ** mu * (E - m)
-        t3 = np.einsum('pr,r,ra->pa', jl, g.wr, apart @ (_PM @ _IG5).T) * c[:, None]
-        t4 = np.einsum('pr,r,ra->pa', jlm1, g.wr, apart @ (_PP @ _IG5).T) * c[:, None]
-        out[:, i] = t1 + t2 + t3 - t4
+    p, Em = g.p[:, None], (g.energies(m) - m)[:, None]
+    a = np.einsum('mxyba,rxyb,xy,r->rma', g.omegas, field.values,
+                  g.angular.weights, g.wr, optimize=True)
+    out = np.empty((g.np_points, len(g.modes), 4))
+    for l in range(1, g.lmax + 1):
+        blk, D, C = _l_block(l)
+        b = a[:, blk].reshape(g.nr, -1)
+        Z = np.hstack([g.jt[l] @ b, g.jt[l - 1] @ b])
+        out[:, blk] = (p * (Z @ D.T) + Em * (Z @ C.T)).reshape(g.np_points, -1, 4)
     return HankelSpectrum(g, out, m)
 
 
 def inverse_hankel(spec: HankelSpectrum) -> SphericalField:
     """Psi(r,theta,phi) = sum_{l,mu} integral dp (E+m)/(E pi) Lambda psi(p,l,mu)."""
-    g = spec.grid
-    m = spec.mass
-    E = g.energies(m)
-    wp = spec.p_weights()
-    cr = np.zeros((len(g.modes), g.nr, 4))
-    for i, (l, mu) in enumerate(g.modes):
-        jl, jlm1 = g.jt[l], g.jt[l - 1]
-        psi = spec.values[:, i]
-        pair = spec.values[:, g.mode_index[(l, -mu - 1)]]
-        t1 = np.einsum('pr,p,pa->ra', jl * g.p[:, None], wp, psi @ _PP)
-        t2 = np.einsum('pr,p,pa->ra', jlm1 * g.p[:, None], wp, psi @ _PM)
-        c = (-1.0) ** (mu + 1) * (E - m)
-        t3 = np.einsum('pr,p,pa->ra', jlm1, wp * c, pair @ (_IG5 @ _PP).T)
-        t4 = np.einsum('pr,p,pa->ra', jl, wp * c, pair @ (_IG5 @ _PM).T)
-        cr[i] = t1 + t2 + t3 - t4
-    vals = np.einsum('mxyab,mrb->rxya', g.omegas, cr, optimize=True)
+    g, m, wp = spec.grid, spec.mass, spec.p_weights()[:, None]
+    p, Em = wp * g.p[:, None], wp * (g.energies(m) - m)[:, None]
+    cr = np.empty((g.nr, len(g.modes), 4))
+    for l in range(1, g.lmax + 1):
+        blk, D, C = _l_block(l)
+        z = spec.values[:, blk].reshape(g.np_points, -1)
+        X, Y = np.hsplit(p * (z @ D) + Em * (z @ C), 2)
+        cr[:, blk] = (g.jt[l].T @ X + g.jt[l - 1].T @ Y).reshape(g.nr, -1, 4)
+    vals = np.einsum('mxyab,rmb->rxya', g.omegas, cr, optimize=True)
     return SphericalField(g, vals, m)
 
 

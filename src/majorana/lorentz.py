@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import MINKOWSKI, build_canonical_rep
+from .clifford import CANONICAL as _REP, I4 as _I4, IG as _IG, IG5 as _IG5
 
 __all__ = [
     "PinElement",
@@ -44,11 +44,6 @@ __all__ = [
     "commutant_check",
     "CommutantReport",
 ]
-
-_REP = build_canonical_rep()
-_IG = _REP.generators
-_IG5 = _REP.gamma5
-_I4 = np.eye(4)
 
 # g0 g^j (symmetric, square +I) and i g5 g0 g^j (antisymmetric, square -I)
 BOOST_GENERATORS = tuple(-( _IG[0] @ _IG[j]) for j in (1, 2, 3))

@@ -21,7 +21,7 @@ from math import factorial, pi
 
 import numpy as np
 
-from .clifford import build_canonical_rep
+from .clifford import I4 as _I4, IG as _IG, PROJ_DN, PROJ_UP, SIGMA
 
 __all__ = [
     "assoc_legendre",
@@ -36,16 +36,7 @@ __all__ = [
     "sph_jn_table",
 ]
 
-_REP = build_canonical_rep()
-_IG = _REP.generators
-_IG5 = _REP.gamma5
-_I4 = np.eye(4)
 _G = _IG[0]
-
-# sigma^k = gamma^k gamma^5 = -(i gamma^k)(i gamma^5); sigma^3 is diagonal
-SIGMA = tuple(-(_IG[k] @ _IG5) for k in (1, 2, 3))
-_PROJ_UP = (_I4 + SIGMA[2]) / 2.0
-_PROJ_DN = (_I4 - SIGMA[2]) / 2.0
 
 
 def assoc_legendre(l: int, m: int, x):
@@ -246,12 +237,12 @@ def omega_matrix(l: int, mu: int, theta, phi) -> np.ndarray:
     if l < 1 or not (-l <= mu <= l - 1):
         raise ValueError("need l >= 1 and -l <= mu <= l-1")
     s1 = SIGMA[0]
-    out = (-np.sqrt((l - mu) / (2 * l + 1))) * (majorana_Y(l, mu, theta, phi) @ _PROJ_UP)
-    out += np.sqrt((l + mu + 1) / (2 * l + 1)) * (majorana_Y(l, mu + 1, theta, phi) @ (s1 @ _PROJ_UP))
+    out = (-np.sqrt((l - mu) / (2 * l + 1))) * (majorana_Y(l, mu, theta, phi) @ PROJ_UP)
+    out += np.sqrt((l + mu + 1) / (2 * l + 1)) * (majorana_Y(l, mu + 1, theta, phi) @ (s1 @ PROJ_UP))
     if l + mu > 0:
-        out += np.sqrt((l + mu) / (2 * l - 1)) * (majorana_Y(l - 1, mu, theta, phi) @ (s1 @ _PROJ_DN))
+        out += np.sqrt((l + mu) / (2 * l - 1)) * (majorana_Y(l - 1, mu, theta, phi) @ (s1 @ PROJ_DN))
     if l - mu - 1 > 0:
-        out += np.sqrt((l - mu - 1) / (2 * l - 1)) * (majorana_Y(l - 1, mu + 1, theta, phi) @ _PROJ_DN)
+        out += np.sqrt((l - mu - 1) / (2 * l - 1)) * (majorana_Y(l - 1, mu + 1, theta, phi) @ PROJ_DN)
     return out
 
 

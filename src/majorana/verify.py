@@ -154,7 +154,7 @@ def _lorentz_suite(add, rng):
         worst = max(worst, np.abs(lorentz.lambda_of(-S) - lorentz.lambda_of(S)).max())
     add("lorentz.double-cover", "Lambda(-S) = Lambda(S)", worst, 1e-12)
 
-    rep = clifford.build_canonical_rep()
+    rep = clifford.CANONICAL
     cosets = [(np.eye(4), (1, 1)), (rep.gamma5, (1, -1)),
               (rep.gamma0, (-1, 1)), (-(rep.gamma0 @ rep.gamma5), (-1, -1))]
     bad = 0
@@ -177,7 +177,7 @@ def _lorentz_suite(add, rng):
     add("lorentz.polar", "S = rotation(theta) boost(b) recovered by polar splitting",
         worst, 1e-9)
 
-    rep_a = clifford.build_canonical_rep()
+    rep_a = clifford.CANONICAL
     worst_r = worst_d = 0.0
     for _ in range(20):
         Q = np.linalg.qr(rng.normal(size=(4, 4)))[0]
@@ -256,22 +256,19 @@ def _fourier_suite(add, st, rng):
     g8 = fourier.CartesianGrid(8, st.L)
     mc = m if m > 0 else 1.0
     Ap8, Am8, deg8 = g8._kernel_tables(mc)
-    A8 = Ap8[..., None, None] * np.eye(4) + Am8
-    P8 = g8.P.reshape(-1, 3)
-    A8f = A8.reshape(-1, 4, 4)
     keep = ~deg8.reshape(-1)
-    Xg, Yg, Zg = np.meshgrid(g8.xs, g8.xs, g8.xs, indexing='ij')
+    A8 = (Ap8[..., None, None] * np.eye(4) + Am8).reshape(-1, 4, 4)[keep]
+    P8 = g8.P.reshape(-1, 3)[keep]
+    # A rotor(phi) A = cos(phi) A A + sin(phi) A ig0 A: two matmuls over all p
+    AA = (A8 @ A8).reshape(-1, 16)
+    AGA = (A8 @ clifford.IG[0] @ A8).reshape(-1, 16)
+    X8 = np.stack(np.meshgrid(g8.xs, g8.xs, g8.xs, indexing='ij'), -1).reshape(-1, 3)
     worst = 0.0
     for _ in range(2):
         iy = tuple(int(v) for v in rng.integers(0, 8, 3))
         y = np.array([g8.xs[iy[0]], g8.xs[iy[1]], g8.xs[iy[2]]])
-        acc = np.zeros((8, 8, 8, 4, 4))
-        for ip in range(P8.shape[0]):
-            if not keep[ip]:
-                continue
-            pv = P8[ip]
-            ph = pv[0] * (y[0] - Xg) + pv[1] * (y[1] - Yg) + pv[2] * (y[2] - Zg)
-            acc += np.einsum('ab,xyzbc,cd->xyzad', A8f[ip], fourier.rotor(ph), A8f[ip])
+        ph = (y - X8) @ P8.T
+        acc = (np.cos(ph) @ AA + np.sin(ph) @ AGA).reshape(8, 8, 8, 4, 4)
         acc *= g8.dx ** 3 / g8.L ** 3
         tgt = np.zeros_like(acc)
         tgt[iy] = np.eye(4)
@@ -395,7 +392,7 @@ def _angular_suite(add, st, rng):
         f"quadrature of Y^T Y = delta delta I through l = {lY}",
         np.abs(Mo - tgt).max(), 1e-9)
 
-    G = clifford.build_canonical_rep().gamma0
+    G = clifford.IG[0]
     worst = 0.0
     for (l, mm) in [(1, 1), (2, -1), (3, 2), (lY, lY - 1)]:
         Yf = spherical.majorana_Y(l, mm, th, ph)
@@ -439,7 +436,7 @@ def _angular_suite(add, st, rng):
     midx = {mode: i for i, mode in enumerate(modes)}
     sR = spherical.sigma_r(th, ph)
     gR = spherical.gamma_r(th, ph)
-    ig5 = clifford.build_canonical_rep().gamma5
+    ig5 = clifford.IG5
     s3 = sg[2]
     worst = 0.0
     for (l, mu) in modes:

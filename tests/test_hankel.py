@@ -50,6 +50,12 @@ def test_mode_table(grid):
     # every mode's ig^r partner is present
     for (l, mu) in grid.modes:
         assert (l, -mu - 1) in grid.mode_index
+    # the 2l modes of one l are contiguous with mu ascending, so the partner
+    # (l, -mu-1) of the j-th mode of a block is the j-th from its end
+    for l in range(1, grid.lmax + 1):
+        block = grid.modes[l * (l - 1):l * (l + 1)]
+        assert block == [(l, mu) for mu in range(-l, l)]
+        assert [(l, -mu - 1) for (_, mu) in block] == block[::-1]
 
 
 # ------------------------------------------------------------------- kernels
@@ -109,6 +115,30 @@ def test_windowed_single_channel(grid):
     rel = (np.linalg.norm(co1.values[:, grid.mode_index[lm]] - co0[:, grid.mode_index[lm]])
            / np.linalg.norm(co0))
     assert rel < 1e-10
+
+
+@pytest.mark.filterwarnings("ignore:field tail")
+@pytest.mark.parametrize("m", [1.0, 0.0])
+def test_transforms_match_dense_kernel_quadrature(m):
+    # direct sums over the sampled kernel at every (p, mode): forward
+    # sum wr w_ang Lambda^T Psi, inverse sum_p wp Lambda psi; the random
+    # field fills every radial node, so the tail warning is expected
+    g = hankel.SphericalGrid(16, 8.0, 6, 12, 3, 12)
+    rng = np.random.default_rng(5)
+    Psi = rng.standard_normal((g.nr, 6, 12, 4))
+    psi = rng.standard_normal((g.np_points, len(g.modes), 4))
+    wp = hankel.HankelSpectrum(g, psi, m).p_weights()
+    fwd = np.empty_like(psi)
+    inv = np.zeros_like(Psi)
+    for k, p in enumerate(g.p):
+        for i, mode in enumerate(g.modes):
+            K = hankel.kernel_on_grid(g, p, mode, m)
+            fwd[k, i] = np.einsum('rxyba,rxyb,r,xy->a', K, Psi, g.wr, g.angular.weights)
+            inv += wp[k] * (K @ psi[k, i])
+    got = hankel.forward_hankel(hankel.SphericalField(g, Psi, m)).values
+    assert np.abs(got - fwd).max() <= 1e-13 * np.abs(fwd).max()
+    got = hankel.inverse_hankel(hankel.HankelSpectrum(g, psi, m)).values
+    assert np.abs(got - inv).max() <= 1e-13 * np.abs(inv).max()
 
 
 def test_parseval(grid):
