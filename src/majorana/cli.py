@@ -195,8 +195,18 @@ def _rel(err, ref) -> float:
     return float(err / ref) if ref != 0 else float(err)
 
 
-def _f(v) -> str:
-    return format(float(v), ".17g")
+def _write_fields(cfg: RunConfig, out: Path, **fields) -> None:
+    """<name>.maj1 or .majs and <name>.csv per field, as output.formats asks."""
+    from . import io as fio
+
+    sph = cfg.domain == "spherical"
+    write_bin, ext = (fio.write_majs, "majs") if sph else (fio.write_maj1, "maj1")
+    write_csv = fio.write_spherical_csv if sph else fio.write_field_csv
+    for name, fld in fields.items():
+        if "bin" in cfg.formats:
+            write_bin(out / f"{name}.{ext}", fld)
+        if "csv" in cfg.formats:
+            write_csv(out / f"{name}.csv", fld)
 
 
 # -------------------------------------------------------------------- verify
@@ -367,11 +377,6 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
         vg_meas = ((np.array(rows[-1][4:7]) - c0) / tend if tend > 0
                    else np.zeros(3))
         header = "step,t,norm,energy,cx,cy,cz"
-        final = fld
-        if "bin" in cfg.formats:
-            fio.write_maj1(out / "final.maj1", final)
-        if "csv" in cfg.formats:
-            fio.write_field_csv(out / "final.csv", final)
         summary = {
             "domain": "cartesian", "steps": cfg.steps, "dt": cfg.dt,
             "norm_initial": norm0, "max_norm_drift_rel": drift,
@@ -395,22 +400,17 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
             rows.append((k, k * cfg.dt, cur.norm2(), energy))
         drift = _rel(np.abs(np.array([r[2] for r in rows]) - norm0).max(), norm0)
         header = "step,t,norm,energy"
-        final = hankel.inverse_hankel(cur)
-        if "bin" in cfg.formats:
-            fio.write_majs(out / "final.majs", final)
-        if "csv" in cfg.formats:
-            fio.write_spherical_csv(out / "final.csv", final)
+        fld = hankel.inverse_hankel(cur)
         summary = {
             "domain": "spherical", "steps": cfg.steps, "dt": cfg.dt,
+            "tail_fraction": field0.tail_fraction(),
             "norm_initial": norm0, "max_norm_drift_rel": drift,
             "energy_expectation": energy,
             "passed": drift <= 1e-12,
         }
 
-    with open(out / "frames.csv", "w") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(f"{row[0]}," + ",".join(_f(v) for v in row[1:]) + "\n")
+    _write_fields(cfg, out, final=fld)
+    fio.write_frames_csv(out / "frames.csv", header, rows)
     _write_json(out / "summary.json", summary)
     if not quiet:
         print(f"evolved {cfg.steps} steps of dt = {cfg.dt}; "
@@ -443,12 +443,6 @@ def _cmd_transform(cfg: RunConfig, quiet: bool) -> int:
             l2_rel = max_rel
         parseval = _rel(abs(spec.norm2() - recon.norm2()), recon.norm2())
         threshold = 1e-9
-        if "bin" in cfg.formats:
-            fio.write_maj1(out / "input.maj1", field0)
-            fio.write_maj1(out / "reconstruction.maj1", recon)
-        if "csv" in cfg.formats:
-            fio.write_field_csv(out / "input.csv", field0)
-            fio.write_field_csv(out / "reconstruction.csv", recon)
         fio.write_spectrum_csv(out / "spectrum.csv", spec)
         summary = {
             "domain": "cartesian", "mass": cfg.mass,
@@ -465,19 +459,15 @@ def _cmd_transform(cfg: RunConfig, quiet: bool) -> int:
         l2_rel = np.sqrt(_rel(diff.norm2(), field0.norm2()))
         max_rel = _rel(np.abs(diff.values).max(), np.abs(field0.values).max())
         threshold = 1e-4
-        if "bin" in cfg.formats:
-            fio.write_majs(out / "input.majs", field0)
-            fio.write_majs(out / "reconstruction.majs", recon)
-        if "csv" in cfg.formats:
-            fio.write_spherical_csv(out / "input.csv", field0)
-            fio.write_spherical_csv(out / "reconstruction.csv", recon)
         fio.write_hankel_csv(out / "spectrum.csv", spec)
         summary = {
             "domain": "spherical", "mass": cfg.mass,
+            "tail_fraction": field0.tail_fraction(),
             "max_error_rel": float(max_rel), "l2_error_rel": float(l2_rel),
             "threshold": threshold,
             "passed": bool(l2_rel <= threshold),
         }
+    _write_fields(cfg, out, input=field0, reconstruction=recon)
     _write_json(out / "summary.json", summary)
     if not quiet:
         print(f"round-trip errors: max {summary['max_error_rel']:.3e}, "
@@ -523,6 +513,8 @@ def _cmd_spectrum(cfg: RunConfig, quiet: bool) -> int:
         "modes_above_1e-12_of_peak": n_sig,
         "dominant_single_mode": bool(peak_fraction > 0.5),
     }
+    if cfg.domain == "spherical":
+        summary["tail_fraction"] = field0.tail_fraction()
     _write_json(out / "summary.json", summary)
     if not quiet:
         print(f"peak mode {peak_mode} carries {peak_fraction:.4f} of norm^2; "
@@ -557,21 +549,12 @@ def _parse_args(argv):
 
 def main(argv=None) -> int:
     args = _parse_args(argv)
-    try:
-        _apply_thread_env()
-        cfg = load_config(args.config, args.command, args.out)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
     handler = {"verify": _cmd_verify, "evolve": _cmd_evolve,
                "transform": _cmd_transform, "spectrum": _cmd_spectrum}[args.command]
     try:
-        return handler(cfg, args.quiet)
-    except ConfigError as e:
-        print(f"error: {e}", file=sys.stderr)
-        return 2
-    except ValueError as e:
-        # invalid grid/initial parameters rejected by the library layer
+        _apply_thread_env()
+        return handler(load_config(args.config, args.command, args.out), args.quiet)
+    except (ConfigError, ValueError) as e:   # ValueError: rejected by the library
         print(f"error: {e}", file=sys.stderr)
         return 2
     except OSError as e:

@@ -139,9 +139,10 @@ class SphericalField:
         return float(np.einsum('rxya,rxya,r,xy->', self.values, self.values,
                                g.wr, g.angular.weights))
 
-    def tail_fraction(self, shells: int = 8) -> float:
-        """Norm2 fraction carried by the outermost radial shells."""
+    def tail_fraction(self, shells: int | None = None) -> float:
+        """Norm2 fraction in the outermost radial shells (default nr/64, >= 1)."""
         g = self.grid
+        shells = max(1, round(g.nr / 64)) if shells is None else shells
         v = self.values[-shells:]
         tail = float(np.einsum('rxya,rxya,r,xy->', v, v, g.wr[-shells:],
                                g.angular.weights))

@@ -9,8 +9,10 @@ node arrays (r, cos(theta), phi as f64), then spinor data (nr, ntheta, nphi,
 
 CSV exports carry one row per grid point: coordinate columns (x,y,z or
 x0..x3 or r,theta,phi), then psi0..psi3; mode spectra use p,l,mu,psi0..psi3.
-Float formatting is fixed at 17 significant digits so identical inputs give
-byte-identical files.
+Every float is written as format(v, '.17g') would write it, so identical
+inputs give byte-identical files.  The CSV writer is a block formatter: each
+1-d axis is formatted once, and each slab of at most _SLAB_ROWS rows is one
+'%'-template call with the coordinates in place; no file is held whole.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "write_spherical_csv",
     "write_spectrum_csv",
     "write_hankel_csv",
+    "write_frames_csv",
 ]
 
 _MAGIC_CART = b"MAJ1"
@@ -44,10 +47,6 @@ _F64 = np.dtype('<f8')
 
 class FormatError(ValueError):
     """Raised on bad magic, version, or inconsistent geometry while reading."""
-
-
-def _fmt(v: float) -> str:
-    return format(float(v), '.17g')
 
 
 def write_maj1(path, obj) -> None:
@@ -154,18 +153,26 @@ def read_majs(path, lmax: int = 5, np_points: int | None = None) -> SphericalFie
     return SphericalField(grid, values, float(mass))
 
 
-def _write_rows(path, header: str, rows) -> None:
-    with open(path, 'w', newline='\n') as fh:
-        fh.write(header + '\n')
-        for row in rows:
-            fh.write(','.join(row) + '\n')
+_SLAB_ROWS = 1024   # rows per formatting call, unless the last axis is longer
 
 
 def _write_grid_csv(path, header: str, axes, values: np.ndarray) -> None:
-    """One row per grid point in array order: its node coordinates from the
-    1-d axes, then the four spinor components."""
-    points = zip(itertools.product(*axes), values.reshape(-1, 4))
-    _write_rows(path, header, ([_fmt(c) for c in (*x, *v)] for x, v in points))
+    """One row per point of the product of the 1-d axes (float arrays, or lists
+    of ready-made fields free of '%'), in array order: coordinates, then values."""
+    fields = [a if isinstance(a, list) else ['%.17g' % v for v in a.tolist()]
+              for a in axes]
+    row = ','.join(['%.17g'] * values.shape[-1]) + '\n'
+    k = len(fields) - 1           # axes k.. make one template of rows
+    while k > 0 and math.prod(map(len, fields[k - 1:])) <= _SLAB_ROWS:
+        k -= 1
+    tail = ['', *(','.join(x) + ',' + row for x in itertools.product(*fields[k:]))]
+    slabs = values.reshape(-1, len(tail) - 1, values.shape[-1])
+    with open(path, 'w', newline='\n') as fh:
+        fh.write(header + '\n')
+        for lead, slab in zip(itertools.product(*fields[:k]), slabs):
+            # the leading coordinates, as the separator, prefix every row
+            fh.write(''.join(c + ',' for c in lead).join(tail)
+                     % tuple(slab.ravel().tolist()))
 
 
 def write_field_csv(path, field: SpinorField) -> None:
@@ -193,7 +200,11 @@ def write_spectrum_csv(path, spec: MomentumSpectrum) -> None:
 
 def write_hankel_csv(path, spec: HankelSpectrum) -> None:
     g = spec.grid
+    _write_grid_csv(path, 'p,l,mu,psi0,psi1,psi2,psi3',
+                    (g.p, [f"{l},{mu}" for l, mu in g.modes]), spec.values)
 
-    _write_rows(path, 'p,l,mu,psi0,psi1,psi2,psi3',
-                ([_fmt(g.p[k]), str(l), str(mu)] + [_fmt(c) for c in spec.values[k, i]]
-                 for k in range(g.np_points) for i, (l, mu) in enumerate(g.modes)))
+
+def write_frames_csv(path, header: str, rows) -> None:
+    """A time series: per row an integer step, then numbers (t, norm, ...)."""
+    _write_grid_csv(path, header, ([str(r[0]) for r in rows],),
+                    np.array([r[1:] for r in rows], dtype=float))

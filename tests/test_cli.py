@@ -131,6 +131,7 @@ def test_evolve_spherical(tmp_path):
     assert code == 0
     s = load_summary(od)
     assert s["domain"] == "spherical" and s["passed"]
+    assert math.isfinite(s["tail_fraction"]) and 0 <= s["tail_fraction"] < 1e-8
     assert (od / "final.majs").exists()
 
 
@@ -164,6 +165,7 @@ def test_transform_spherical(tmp_path):
     s = load_summary(od)
     assert s["domain"] == "spherical" and s["passed"]
     assert s["l2_error_rel"] <= 1e-4
+    assert math.isfinite(s["tail_fraction"]) and 0 <= s["tail_fraction"] < 1e-8
 
 
 def test_transform_respects_formats_csv_only(tmp_path):
@@ -200,6 +202,7 @@ def test_spectrum_spherical_single_mode(tmp_path):
     assert (l, mu) == (2, -1)
     assert abs(p - 1.5) <= 0.5 * np.pi * 48 / 16.0 / 48  # within one dp bin
     assert s["dominant_single_mode"] is True
+    assert math.isfinite(s["tail_fraction"]) and s["tail_fraction"] > 0
 
 
 # -------------------------------------------------------------- config errors

@@ -1,5 +1,7 @@
 """Radial-spherical transform layer: kernels, round trips, eigen relation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.special import spherical_jn
@@ -160,6 +162,18 @@ def test_tail_warning_on_truncated_field(grid):
     base = np.einsum('xyab,b->xya', grid.omegas[0], CHI)
     Psi = hankel.SphericalField(grid, env[:, None, None, None] * base[None], 1.0)
     with pytest.warns(UserWarning, match="tail"):
+        hankel.forward_hankel(Psi)
+
+
+def test_no_tail_warning_for_decayed_field_on_coarse_grid():
+    # the default tail is the outer 1/64 of the nodes (at least one shell),
+    # not a fixed 8 shells, which on nr = 16 was the outer half (r >= 4)
+    g = hankel.SphericalGrid(16, 8.0, 6, 12, 2, 16)
+    Psi = gaussian_field(g, r0=3.0, w=1.0)
+    assert Psi.tail_fraction() < 1e-8
+    assert Psi.tail_fraction(shells=8) > 1e-8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         hankel.forward_hankel(Psi)
 
 

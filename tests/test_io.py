@@ -1,5 +1,7 @@
 """Serialization round trips and format validation."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -264,3 +266,81 @@ def test_spherical_and_spacetime_csv_headers(tmp_path):
     lines = pt.read_text().splitlines()
     assert lines[0] == "x0,x1,x2,x3,psi0,psi1,psi2,psi3"
     assert len(lines) == 1 + 2 * 2 ** 3
+
+
+# ------------------------------------------------- CSV golden byte identity
+
+SPECIAL = [-0.0, 0.0, 1.0, 5e-324, 1e-300, 1e300, np.nan, np.inf, -np.inf]
+
+
+def golden_values(shape):
+    """Random values over many decades, the special values at both ends."""
+    v = RNG.standard_normal(shape) * 10.0 ** RNG.integers(-30, 30, shape)
+    flat = v.reshape(-1)
+    flat[:len(SPECIAL)] = SPECIAL
+    flat[-len(SPECIAL):] = SPECIAL[::-1]
+    return v
+
+
+def per_value_csv(path, header, rows):
+    """Reference writer: one format(v, '.17g') per numeric field, strings as
+    they are, fields joined row by row."""
+    with open(path, 'w', newline='\n') as fh:
+        fh.write(header + '\n')
+        for row in rows:
+            fh.write(','.join(c if isinstance(c, str) else format(float(c), '.17g')
+                              for c in row) + '\n')
+
+
+def grid_rows(axes, values):
+    return ([*x, *v] for x, v in zip(itertools.product(*axes),
+                                     values.reshape(-1, values.shape[-1])))
+
+
+def golden_case(name):
+    """(writer call, header, reference rows) on a small grid, odd-sized
+    wherever the grid allows it."""
+    g = fourier.CartesianGrid(4, 3.7)
+    if name == "field":
+        f = fourier.SpinorField(g, golden_values((4, 4, 4, 4)), 1.0)
+        return (lambda p: io.write_field_csv(p, f), "x,y,z,psi0,psi1,psi2,psi3",
+                grid_rows((g.xs,) * 3, f.values))
+    if name == "spacetime":
+        f4 = fourier.SpacetimeField(g, 2.9, golden_values((3, 4, 4, 4, 4)), 1.0)
+        ts = np.arange(3) * (2.9 / 3)
+        return (lambda p: io.write_spacetime_csv(p, f4),
+                "x0,x1,x2,x3,psi0,psi1,psi2,psi3",
+                grid_rows((ts,) + (g.xs,) * 3, f4.values))
+    if name == "spectrum":
+        spec = fourier.MomentumSpectrum(g, golden_values((4, 4, 4, 4)), 1.0)
+        ps = 2 * np.pi * g.ks / g.L
+        return (lambda p: io.write_spectrum_csv(p, spec),
+                "px,py,pz,psi0,psi1,psi2,psi3", grid_rows((ps,) * 3, spec.values))
+    sg = hankel.SphericalGrid(9, 7.3, 5, 6, 2, 7)
+    if name == "spherical":
+        f = hankel.SphericalField(sg, golden_values((9, 5, 6, 4)), 1.0)
+        return (lambda p: io.write_spherical_csv(p, f),
+                "r,theta,phi,psi0,psi1,psi2,psi3",
+                grid_rows((sg.r, sg.angular.theta, sg.angular.phi), f.values))
+    if name == "hankel":
+        hs = hankel.HankelSpectrum(sg, golden_values((7, len(sg.modes), 4)), 1.0)
+        return (lambda p: io.write_hankel_csv(p, hs), "p,l,mu,psi0,psi1,psi2,psi3",
+                ([sg.p[k], str(l), str(mu), *hs.values[k, i]]
+                 for k in range(7) for i, (l, mu) in enumerate(sg.modes)))
+    rows = [(k, *v) for k, v in enumerate(golden_values((11, 6)))]
+    return (lambda p: io.write_frames_csv(p, "step,t,norm,energy,cx,cy,cz", rows),
+            "step,t,norm,energy,cx,cy,cz", ([str(k), *v] for k, *v in rows))
+
+
+@pytest.mark.parametrize("slab_rows", [1, 5, 1024])
+@pytest.mark.parametrize("name", ["field", "spacetime", "spherical", "spectrum",
+                                  "hankel", "frames"])
+def test_csv_bytes_match_per_value_writer(tmp_path, monkeypatch, name, slab_rows):
+    # the block formatter must write exactly the per-value writer's bytes;
+    # small slab caps put slab boundaries inside these small grids
+    monkeypatch.setattr(io, "_SLAB_ROWS", slab_rows)
+    write, header, rows = golden_case(name)
+    got, want = tmp_path / "block.csv", tmp_path / "ref.csv"
+    write(got)
+    per_value_csv(want, header, rows)
+    assert got.read_bytes() == want.read_bytes()
