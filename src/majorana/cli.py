@@ -323,7 +323,7 @@ def _initial_spherical(cfg: RunConfig):
         base = np.einsum('xyab,b->xya', grid.omegas[grid.mode_index[tuple(mode)]],
                          chi)
         vals = env[:, None, None, None] * base[None]
-        return grid, hankel.SphericalField(grid, vals, cfg.mass), None
+        return grid, hankel.SphericalField(grid, vals, cfg.mass), None, {}
     if kind == "single-mode":
         p = float(_initial_value(ini, "p", None, (),
                                  "a number for a spherical single mode"))
@@ -333,7 +333,9 @@ def _initial_spherical(cfg: RunConfig):
         co = np.zeros((grid.np_points, len(grid.modes), 4))
         co[kp, grid.mode_index[tuple(mode)]] = chi
         spec = hankel.HankelSpectrum(grid, co, cfg.mass)
-        return grid, hankel.inverse_hankel(spec), spec
+        # the summary records the momentum node the requested p snapped to
+        snap = {"initial_p_requested": p, "initial_p_node": float(grid.p[kp])}
+        return grid, hankel.inverse_hankel(spec), spec, snap
     raise ConfigError(f"unknown initial.type {kind!r}")
 
 
@@ -386,7 +388,7 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
             "passed": drift <= 1e-12,
         }
     else:
-        grid, field0, spec = _initial_spherical(cfg)
+        grid, field0, spec, snap = _initial_spherical(cfg)
         if spec is None:
             spec = hankel.forward_hankel(field0)
         E = grid.energies(cfg.mass)
@@ -403,7 +405,7 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
         fld = hankel.inverse_hankel(cur)
         summary = {
             "domain": "spherical", "steps": cfg.steps, "dt": cfg.dt,
-            "tail_fraction": field0.tail_fraction(),
+            "tail_fraction": field0.tail_fraction(), **snap,
             "norm_initial": norm0, "max_norm_drift_rel": drift,
             "energy_expectation": energy,
             "passed": drift <= 1e-12,
@@ -452,7 +454,7 @@ def _cmd_transform(cfg: RunConfig, quiet: bool) -> int:
             "passed": bool(max_rel <= threshold),
         }
     else:
-        grid, field0, _ = _initial_spherical(cfg)
+        grid, field0, _, snap = _initial_spherical(cfg)
         spec = hankel.forward_hankel(field0)
         recon = hankel.inverse_hankel(spec)
         diff = hankel.SphericalField(grid, recon.values - field0.values, cfg.mass)
@@ -462,7 +464,7 @@ def _cmd_transform(cfg: RunConfig, quiet: bool) -> int:
         fio.write_hankel_csv(out / "spectrum.csv", spec)
         summary = {
             "domain": "spherical", "mass": cfg.mass,
-            "tail_fraction": field0.tail_fraction(),
+            "tail_fraction": field0.tail_fraction(), **snap,
             "max_error_rel": float(max_rel), "l2_error_rel": float(l2_rel),
             "threshold": threshold,
             "passed": bool(l2_rel <= threshold),
@@ -493,7 +495,7 @@ def _cmd_spectrum(cfg: RunConfig, quiet: bool) -> int:
         peak_mode = [int(grid.ks[i]) for i in idx]
         fio.write_spectrum_csv(out / "spectrum.csv", spec)
     else:
-        grid, field0, _ = _initial_spherical(cfg)
+        grid, field0, _, snap = _initial_spherical(cfg)
         spec = hankel.forward_hankel(field0)
         mags = np.einsum('pma,pma,p->pm', spec.values, spec.values,
                          spec.p_weights())
@@ -514,7 +516,7 @@ def _cmd_spectrum(cfg: RunConfig, quiet: bool) -> int:
         "dominant_single_mode": bool(peak_fraction > 0.5),
     }
     if cfg.domain == "spherical":
-        summary["tail_fraction"] = field0.tail_fraction()
+        summary.update(tail_fraction=field0.tail_fraction(), **snap)
     _write_json(out / "summary.json", summary)
     if not quiet:
         print(f"peak mode {peak_mode} carries {peak_fraction:.4f} of norm^2; "

@@ -1,12 +1,14 @@
 """Radial (Hankel-type) transforms of Majorana spinor fields.
 
-The kernel for angular mode (l, mu) at radial momentum p is
+The kernel for angular mode (l, mu) at radial momentum p is separable,
+Lambda = sum_i f_i(r) A_i(theta, phi) with P_up/dn = (1 +- sigma3)/2:
 
-    Lambda = (p j_l(pr) + (E-m) j_{l-1}(pr) ig^r) Omega_{l,mu} (1+sigma3)/2
-           + (p j_{l-1}(pr) - (E-m) j_l(pr) ig^r) Omega_{l,mu} (1-sigma3)/2
+    Lambda = p j_l(pr) Omega P_up + (E-m) j_{l-1}(pr) ig^r Omega P_up
+           + p j_{l-1}(pr) Omega P_dn - (E-m) j_l(pr) ig^r Omega P_dn
 
-which solves the free Dirac system per mode: ig0 (m - i dslash) Lambda
-= E_p Lambda ig0 with i dslash = ig^r (d_r - sigma.L / r).
+It solves the free Dirac system per mode: ig0 (m - i dslash) Lambda
+= E_p Lambda ig0 with i dslash = ig^r (d_r - sigma.L / r).  The eigen-relation
+check applies that operator factor by factor: d_r to the f_i, sigma.L to the A_i.
 
 Forward transform: psi(p,l,mu) = integral r^2 dr dcos(theta) dphi
 Lambda^T Psi; inverse weight dp (E+m)/(E pi) per momentum node.  The
@@ -167,29 +169,28 @@ class HankelSpectrum:
                                self.p_weights()))
 
 
-def hankel_kernel(p: float, mode, r, theta, phi, m: float) -> np.ndarray:
-    """Kernel Lambda(p, l, mu; r, theta, phi); broadcasts to (..., 4, 4).
-
-    Requires p > 0; for m = 0 the (E-m) = p limit keeps the ig^r terms.
-    """
+def _kernel_factors(p: float, mode, r, theta, phi, m: float):
+    """Radial factors f (4, ...r) and angular matrices A (4, ...angles, 4, 4)
+    of Lambda = sum_i f_i A_i, in the module docstring's order.  Requires
+    p > 0; for m = 0 the (E-m) = p limit keeps the ig^r terms."""
     l, mu = mode
     AngularMode(l, mu)   # validate bounds
     if not (p > 0):
         raise ValueError("p must be positive")
-    r = np.asarray(r, dtype=float)
     E = np.sqrt(p * p + m * m)
-    jt = sph_jn_table(l, p * r)
-    jl, jlm1 = jt[l], jt[l - 1]
+    jt = sph_jn_table(l, p * np.asarray(r, dtype=float))
+    f = np.stack([p * jt[l], (E - m) * jt[l - 1], p * jt[l - 1], -(E - m) * jt[l]])
     om = omega_matrix(l, mu, theta, phi)
+    up, dn = om @ PROJ_UP, om @ PROJ_DN
     igr = gamma_r(theta, phi)
-    A = om @ PROJ_UP
-    B = om @ PROJ_DN
-    gA = igr @ A
-    gB = igr @ B
-    shape = np.broadcast_shapes(jl.shape, A.shape[:-2])
-    jl = np.broadcast_to(jl, shape)[..., None, None]
-    jlm1 = np.broadcast_to(jlm1, shape)[..., None, None]
-    return p * jl * A + (E - m) * jlm1 * gA + p * jlm1 * B - (E - m) * jl * gB
+    return f, np.stack([up, igr @ up, dn, igr @ dn])
+
+
+def hankel_kernel(p: float, mode, r, theta, phi, m: float) -> np.ndarray:
+    """Kernel Lambda(p, l, mu; r, theta, phi) = sum_i f_i A_i; broadcasts
+    r against (theta, phi) to (..., 4, 4)."""
+    f, A = _kernel_factors(p, mode, r, theta, phi, m)
+    return np.einsum('i...,i...ab->...ab', f, A)
 
 
 def kernel_on_grid(grid: SphericalGrid, p: float, mode, m: float) -> np.ndarray:
@@ -299,21 +300,20 @@ def dirac_apply(field: SphericalField) -> SphericalField:
 def eigen_relation_residual(grid: SphericalGrid, p: float, mode, m: float) -> float:
     """Relative residual of ig0 (m - i dslash) Lambda = E_p Lambda ig0.
 
-    Evaluated one column at a time (bounding peak memory) over the interior
-    radial range; the residual is dominated by the radial-stencil truncation,
-    which scales as (p dr)^6.
+    With G = ig0 the residual is sum_i f_i (m G A_i - E A_i G)
+    - (d_r f_i) G ig^r A_i + (f_i / r) G ig^r sigma.L A_i: one (radial x
+    angular) matmul over the interior radial range.  It is dominated by the
+    radial-stencil truncation, which scales as (p dr)^6.
     """
-    l, mu = mode
+    th, ph = grid.angular.theta[:, None], grid.angular.phi[None, :]
     E = float(np.sqrt(p * p + m * m))
-    LF = kernel_on_grid(grid, p, (l, mu), m)
-    worst = scale = 0.0
-    for c in range(4):
-        col = np.ascontiguousarray(LF[..., c])
-        rhs = E * (LF.reshape(-1, 4) @ _G[:, c]).reshape(col.shape)
-        lhs = (m * col - _spatial_slash(grid, col)) @ _G.T
-        worst = max(worst, np.abs(lhs - rhs)[3:-3].max())
-        scale = max(scale, np.abs(rhs).max())
-    return worst / scale
+    f, A = _kernel_factors(p, mode, grid.r, th, ph, m)
+    slA = np.moveaxis(grid.angular.sigma_dot_L(np.moveaxis(A, 0, -1)), -1, 0)
+    gr = _G @ gamma_r(th, ph)
+    W = np.concatenate([m * (_G @ A) - E * (A @ _G), -gr @ A, gr @ slA])
+    R = np.hstack([f.T, _dr6(f.T, grid.dr), f.T / grid.r[:, None]])[3:-3]
+    worst = np.abs(R @ W.reshape(12, -1)).max()
+    return worst / (E * np.abs(f.T @ (A @ _G).reshape(4, -1)).max())
 
 
 # ----------------------------------------------------------------------------

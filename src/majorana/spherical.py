@@ -110,7 +110,6 @@ class AngularGrid:
     ntheta, nphi : int
     x, wx : (ntheta,) Gauss-Legendre nodes/weights in cos(theta)
     theta, phi : 1-d node arrays; ``phi`` uniform in [-pi, pi)
-    ct, st, ph : (ntheta, nphi) broadcast node arrays
     weights : (ntheta, nphi) quadrature weights summing to 4 pi
     """
 
@@ -121,17 +120,14 @@ class AngularGrid:
         self.x, self.wx = np.polynomial.legendre.leggauss(self.ntheta)
         self.theta = np.arccos(self.x)
         self.phi = 2 * pi * np.arange(self.nphi) / self.nphi - pi
-        self.ct = np.repeat(self.x[:, None], self.nphi, axis=1)
-        self.st = np.sqrt(1.0 - self.ct ** 2)
-        self.ph = np.repeat(self.phi[None, :], self.ntheta, axis=0)
-        self.weights = self.wx[:, None] * (2 * pi / self.nphi) * np.ones_like(self.ct)
+        zero = np.zeros((self.ntheta, self.nphi))
+        self.weights = self.wx[:, None] * (2 * pi / self.nphi) + zero
         self._dx = _barycentric_diffmat(self.x)
         self._sin = np.sqrt(1.0 - self.x ** 2)
         # L_k = ig0 (a_k d/dtheta + b_k d/dphi), rows k = 1, 2, 3 of (a_k, b_k);
         # sigma.L = A d/dtheta + B d/dphi with (A, B) = sum_k sigma^k ig0 (a_k, b_k)
-        sp, cp, cot = np.sin(self.ph), np.cos(self.ph), self.ct / self.st
-        zero = np.zeros_like(sp)
-        self._lcoef = np.array([[sp, cot * cp], [-cp, cot * sp], [zero, zero - 1]])
+        sp, cp, cot = np.sin(self.phi), np.cos(self.phi), (self.x / self._sin)[:, None]
+        self._lcoef = np.array([[sp + zero, cot * cp], [zero - cp, cot * sp], [zero, zero - 1]])
         self._sl = np.einsum('kdxy,kab->dxyab', self._lcoef, np.stack(SIGMA) @ _G)
 
     # -- derivatives ------------------------------------------------------

@@ -477,14 +477,10 @@ def _hankel_suite(add, st, rng):
     worst = 0.0
     for l in range(min(st.lmax, 5) + 1):
         j = g.jt[l][kp]
-        d1 = np.zeros_like(j)
+        d1 = hankel._dr6(j, g.dr)
         d2 = np.zeros_like(j)
-        for k, cx in enumerate(hankel._C6):
-            if cx:
-                d1[3:-3] += cx * j[3 + k - 3:len(j) - 3 + k - 3]
         for k, cx in enumerate(_D2_6):
             d2[3:-3] += cx * j[3 + k - 3:len(j) - 3 + k - 3]
-        d1 /= g.dr
         d2 /= g.dr ** 2
         r = g.r
         resid = (d2 + 2 / r * d1 - l * (l + 1) / r ** 2 * j + p0 ** 2 * j)[3:-3]

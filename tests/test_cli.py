@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from majorana import cli
+from majorana import cli, hankel
 from majorana import io as fio
 
 SMALL_VERIFY = {"command": "verify", "n": 8, "nr": 48, "rmax": 16.0,
@@ -40,6 +40,16 @@ def run(tmp_path, command, doc, out="out"):
 
 def load_summary(od, name="summary.json"):
     return json.loads((od / name).read_text())
+
+
+def assert_snapped_p(s, p):
+    # a spherical single mode sits on the momentum node nearest the request
+    g = hankel.SphericalGrid(SMALL_SPH["nr"], SMALL_SPH["rmax"], SMALL_SPH["ntheta"],
+                             SMALL_SPH["nphi"], SMALL_SPH["lmax"], SMALL_SPH["np"])
+    kp = int(np.abs(g.p - p).argmin())
+    assert s["initial_p_requested"] == p
+    assert s["initial_p_node"] == g.p[kp]
+    assert abs(s["initial_p_node"] - p) <= g.dp / 2
 
 
 # -------------------------------------------------------------------- verify
@@ -132,7 +142,19 @@ def test_evolve_spherical(tmp_path):
     s = load_summary(od)
     assert s["domain"] == "spherical" and s["passed"]
     assert math.isfinite(s["tail_fraction"]) and 0 <= s["tail_fraction"] < 1e-8
+    assert "initial_p_requested" not in s and "initial_p_node" not in s
     assert (od / "final.majs").exists()
+
+
+@pytest.mark.filterwarnings("ignore:field tail")  # delta spectra do not decay
+@pytest.mark.parametrize("command", ["evolve", "transform"])
+def test_spherical_single_mode_records_snapped_p(tmp_path, command):
+    doc = dict(SMALL_SPH, command=command, mass=1.0,
+               initial={"type": "single-mode", "p": 1.5, "l": 2, "mu": -1})
+    # the summary is written whatever the verdict: an undecayed delta
+    # spectrum misses transform's 1e-4 round-trip threshold at rmax
+    run(tmp_path, command, doc)
+    assert_snapped_p(load_summary(tmp_path / "out"), 1.5)
 
 
 # ----------------------------------------------------------------- transform
@@ -166,6 +188,7 @@ def test_transform_spherical(tmp_path):
     assert s["domain"] == "spherical" and s["passed"]
     assert s["l2_error_rel"] <= 1e-4
     assert math.isfinite(s["tail_fraction"]) and 0 <= s["tail_fraction"] < 1e-8
+    assert "initial_p_requested" not in s and "initial_p_node" not in s
 
 
 def test_transform_respects_formats_csv_only(tmp_path):
@@ -203,6 +226,7 @@ def test_spectrum_spherical_single_mode(tmp_path):
     assert abs(p - 1.5) <= 0.5 * np.pi * 48 / 16.0 / 48  # within one dp bin
     assert s["dominant_single_mode"] is True
     assert math.isfinite(s["tail_fraction"]) and s["tail_fraction"] > 0
+    assert_snapped_p(s, 1.5)
 
 
 # -------------------------------------------------------------- config errors
