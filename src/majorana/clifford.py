@@ -7,7 +7,9 @@ The Majorana matrices i*gamma^mu are real orthogonal 4x4 matrices satisfying
 This module builds the canonical integer-entried basis, the 16-element
 product basis Gamma (closed under multiplication up to sign), the 32-element
 sign-extended group Gamma2, and the intertwiner between any two equivalent
-representations via group averaging.
+representations via group averaging.  It also holds the rotor e^{Ga} and the
+G-complex form, G = ig0: G^2 = -I, so a real 4-spinor is a complex 2-spinor on
+which G acts as i, the rotor as e^{ia}, and a rotor DFT as one complex FFT.
 
 All matrices are float64 arrays holding exact small integers, so products and
 anticommutators of basis elements are exact.
@@ -32,6 +34,7 @@ __all__ = [
     "intertwiner",
     "MINKOWSKI",
     "CANONICAL", "IG", "IG5", "I4", "SIGMA", "PROJ_UP", "PROJ_DN",
+    "rotor", "rotate", "time_rotor_forward", "time_rotor_inverse",
 ]
 
 MINKOWSKI = np.diag([1.0, -1.0, -1.0, -1.0])
@@ -167,6 +170,55 @@ SIGMA = tuple(-(IG[k] @ IG5) for k in (1, 2, 3))
 PROJ_UP, PROJ_DN = (I4 + SIGMA[2]) / 2.0, (I4 - SIGMA[2]) / 2.0
 for _m in (*CANONICAL.gamma_basis, I4, *SIGMA, PROJ_UP, PROJ_DN):
     _m.flags.writeable = False
+_GT = IG[0].T.copy()                         # contiguous: v @ _GT is a fast matmul
+
+
+def rotor(angle) -> np.ndarray:
+    """e^{ig0 angle} = cos(angle) I + sin(angle) ig0; orthogonal, shape (..., 4, 4)."""
+    a = np.asarray(angle, dtype=float)
+    return np.multiply.outer(np.cos(a), I4) + np.multiply.outer(np.sin(a), IG[0])
+
+
+def rotate(angle, v) -> np.ndarray:
+    """rotor(angle) v = cos(angle) v + sin(angle) ig0 v for spinors on the last
+    axis of v; angle broadcasts against v[..., 0].  No 4x4 rotor is built."""
+    a = np.asarray(angle, dtype=float)[..., None]
+    out = np.sin(a) * (v @ _GT)
+    out += np.cos(a) * v
+    return out
+
+
+def _to_complex(v: np.ndarray) -> np.ndarray:
+    """G-complex form: ig0 maps (v0, v1, v2, v3) to (v2, v3, -v0, -v1), so z =
+    (v0 - i v2, v1 - i v3), on axis 0 ahead of the grid axes, has ig0 act as i."""
+    z = np.empty((2,) + v.shape[:-1], dtype=complex)
+    z.real = np.moveaxis(v[..., :2], -1, 0)
+    np.negative(np.moveaxis(v[..., 2:], -1, 0), out=z.imag)
+    return z
+
+
+def _to_real(z: np.ndarray) -> np.ndarray:
+    v = np.empty(z.shape[1:] + (4,))
+    v[..., :2] = np.moveaxis(z.real, 0, -1)
+    np.negative(np.moveaxis(z.imag, 0, -1), out=v[..., 2:])
+    return v
+
+
+def _rotor_dft(z: np.ndarray, axes: tuple, sign: int) -> np.ndarray:
+    """sum_j e^{i sign 2 pi k.j/n} z[j] over axes: in G-complex form, the
+    unnormalized rotor DFT sum_x rotor(sign p.x) F(x)."""
+    return np.fft.fftn(z, axes=axes) if sign < 0 else np.fft.ifftn(z, axes=axes, norm="forward")
+
+
+def time_rotor_forward(values: np.ndarray, Lt: float) -> np.ndarray:
+    """psi(p0) = sum_t rotor(+p0 t) psi(t) dt over the periodic time axis 0."""
+    nt = values.shape[0]
+    return _to_real(_rotor_dft(_to_complex(values), (1,), +1)) * (Lt / nt)
+
+
+def time_rotor_inverse(values: np.ndarray, Lt: float) -> np.ndarray:
+    """psi(t) = (1/Lt) sum_p0 rotor(-p0 t) psi(p0) along axis 0."""
+    return _to_real(_rotor_dft(_to_complex(values), (1,), -1)) / Lt
 
 
 def _index_in_gamma(A: np.ndarray, rep: MajoranaRep, tol: float = 1e-9):

@@ -16,11 +16,11 @@ renormalizes.  With that adjustment discrete orthogonality and completeness
 are exact identities (round-off only), and the grid kernel coincides with the
 continuum kernel on all non-Nyquist modes.
 
-The transforms never build the (n^3 x n^3) kernel or a per-mode rotor.  As
-ig0 squares to -I, a real spinor is a complex 2-spinor z on which ig0 acts
-as i, and every rotor DFT sum_x rotor(-+p.x) F(x) is one complex FFT of z.
-Am acts antilinearly on z and couples p to -p, so each direction is one FFT
-plus an index reversal; the space-time pair adds the time axis to the FFT.
+The transforms never build the (n^3 x n^3) kernel or a per-mode rotor.  In
+the G-complex form of ``clifford`` every rotor DFT sum_x rotor(-+p.x) F(x) is
+one complex FFT.  Am acts antilinearly there and couples p to -p, so each
+direction is one FFT plus an index reversal; the space-time pair composes
+the spatial transform with the time rotor DFT of ``clifford``.
 """
 
 from __future__ import annotations
@@ -28,7 +28,8 @@ from __future__ import annotations
 import numpy as np
 from dataclasses import dataclass, replace
 
-from .clifford import I4 as _I4, IG as _IG
+from .clifford import (I4 as _I4, IG as _IG, _GT, _rotor_dft, _to_complex, _to_real,
+                       rotate, rotor, time_rotor_forward, time_rotor_inverse)
 
 __all__ = [
     "DegenerateKernelError",
@@ -54,7 +55,6 @@ __all__ = [
 ]
 
 _G = _IG[0]                                  # ig0, the imaginary unit
-_GT = _G.T.copy()                            # contiguous: v @ _GT is a fast matmul
 _IGS = np.stack(_IG[1:])                     # (3,4,4) spatial ig^j
 _SPACE = (-3, -2, -1)                        # spatial axes in G-complex form
 
@@ -69,68 +69,25 @@ def energy(p, m: float):
     return np.sqrt((p * p).sum(-1) + m * m)
 
 
-def rotor(angle) -> np.ndarray:
-    """e^{ig0 angle} = cos(angle) I + sin(angle) ig0; orthogonal, shape (..., 4, 4)."""
-    a = np.asarray(angle, dtype=float)
-    return np.multiply.outer(np.cos(a), _I4) + np.multiply.outer(np.sin(a), _G)
-
-
-def rotate(angle, v) -> np.ndarray:
-    """rotor(angle) v = cos(angle) v + sin(angle) ig0 v for spinors on the last
-    axis of v; angle broadcasts against v[..., 0].  No 4x4 rotor is built."""
-    a = np.asarray(angle, dtype=float)[..., None]
-    out = np.sin(a) * (v @ _GT)
-    out += np.cos(a) * v
-    return out
-
-
-# G-complex form.  The canonical ig0 maps (v0, v1, v2, v3) to (v2, v3, -v0,
-# -v1), so z = (v0 - i v2, v1 - i v3) turns ig0 into i and rotor(a) into
-# e^{ia}.  The complex component sits on axis 0, ahead of the grid axes.
-
-def _to_complex(v: np.ndarray) -> np.ndarray:
-    z = np.empty((2,) + v.shape[:-1], dtype=complex)
-    z.real = np.moveaxis(v[..., :2], -1, 0)
-    np.negative(np.moveaxis(v[..., 2:], -1, 0), out=z.imag)
-    return z
-
-
-def _to_real(z: np.ndarray) -> np.ndarray:
-    v = np.empty(z.shape[1:] + (4,))
-    v[..., :2] = np.moveaxis(z.real, 0, -1)
-    np.negative(np.moveaxis(z.imag, 0, -1), out=v[..., 2:])
-    return v
-
-
-def _rotor_dft(z: np.ndarray, axes: tuple, sign: int) -> np.ndarray:
-    """sum_j e^{i sign 2 pi k.j/n} z[j] over axes: in G-complex form, the
-    unnormalized rotor DFT sum_x rotor(sign p.x) F(x)."""
-    return np.fft.fftn(z, axes=axes) if sign < 0 else np.fft.ifftn(z, axes=axes, norm="forward")
-
-
-def _kernel_sum(grid, m: float, values: np.ndarray, timed: bool, inverse: bool):
+def _kernel_sum(grid, m: float, values: np.ndarray, inverse: bool):
     """Unweighted sum_x O(p,x) Psi(x), or sum_p O^T(p,x) psi(p) if inverse,
-    as one FFT of the G-complex 2-spinor (axis 1 is time if timed).
+    as one FFT of the G-complex 2-spinor over the last three grid axes.
 
-    O = rotor(p0 t - p.x) (Ap + Am).  Am anticommutes with ig0, so it acts
+    O = rotor(-p.x) (Ap + Am).  Am anticommutes with ig0, so it acts
     antilinearly (as K on conj), and moving it through the rotor flips
     p -> -p: A becomes a -> Ap a + s K conj(a(-p)), with s = -1 on the
     inverse side as K(-p) = -K(p).  a(-p) is the index reversal k -> -k.
     """
     Ap, K = grid._complex_tables(m)
-    axes = _SPACE + ((1,) if timed else ())
     s = -1 if inverse else 1
 
-    def dft(a):                      # sum e^{i s (p0 t - p.x)} a
-        a = _rotor_dft(a, _SPACE, -s)
-        return _rotor_dft(a, (1,), s) if timed else a
-
     def amplitude(a):
-        mirror = np.roll(np.flip(a, axes), 1, axes).conj()
+        mirror = np.roll(np.flip(a, _SPACE), 1, _SPACE).conj()
         return Ap * a + s * np.einsum('ab...,b...->a...', K, mirror)
 
     z = _to_complex(values)
-    return _to_real(dft(amplitude(z)) if inverse else amplitude(dft(z)))
+    return _to_real(_rotor_dft(amplitude(z), _SPACE, +1) if inverse
+                    else amplitude(_rotor_dft(z, _SPACE, -1)))
 
 
 def _amplitude(p, m: float) -> np.ndarray:
@@ -269,7 +226,7 @@ class MomentumSpectrum:
 def forward(field: SpinorField) -> MomentumSpectrum:
     """psi(p) = sum_x O(p,x) Psi(x) dx^3 at every lattice momentum."""
     g, m = field.grid, field.mass
-    vals = _kernel_sum(g, m, field.values, False, False) * g.dx ** 3
+    vals = _kernel_sum(g, m, field.values, False) * g.dx ** 3
     return MomentumSpectrum(g, vals, m,
                             zero_mode_dropped=bool(g._kernel_tables(m)[2].any()))
 
@@ -277,7 +234,7 @@ def forward(field: SpinorField) -> MomentumSpectrum:
 def inverse(spec: MomentumSpectrum) -> SpinorField:
     """Psi(x) = (1/L^3) sum_p O^T(p,x) psi(p)."""
     g = spec.grid
-    return SpinorField(g, _kernel_sum(g, spec.mass, spec.values, False, True) / g.L ** 3,
+    return SpinorField(g, _kernel_sum(g, spec.mass, spec.values, True) / g.L ** 3,
                        spec.mass)
 
 
@@ -359,17 +316,6 @@ def project_particle(spec: MomentumSpectrum, sign: int) -> DiracSpectrum:
 # time axis with frequencies p0 = 2 pi k0 / Lt in fft order.  The time factor
 # is a pure rotor, so no Nyquist adjustment is needed on that axis.
 
-def time_rotor_forward(values: np.ndarray, Lt: float) -> np.ndarray:
-    """psi(p0) = sum_t rotor(+p0 t) psi(t) dt over the periodic time axis 0."""
-    nt = values.shape[0]
-    return _to_real(_rotor_dft(_to_complex(values), (1,), +1)) * (Lt / nt)
-
-
-def time_rotor_inverse(values: np.ndarray, Lt: float) -> np.ndarray:
-    """psi(t) = (1/Lt) sum_p0 rotor(-p0 t) psi(p0) along axis 0."""
-    return _to_real(_rotor_dft(_to_complex(values), (1,), -1)) / Lt
-
-
 @dataclass
 class SpacetimeField:
     """Spinor samples on a periodic (t, x, y, z) grid; values (nt, n, n, n, 4)."""
@@ -391,13 +337,14 @@ class SpacetimeSpectrum:
 def spacetime_forward(f4: SpacetimeField) -> SpacetimeSpectrum:
     """psi(p0, p) = sum_x O(p, x) Psi(x) dx^4 with O = rotor(p0 t) O(pvec, xvec)."""
     g, m = f4.grid, f4.mass
-    vals = _kernel_sum(g, m, f4.values, True, False) * (g.dx ** 3 * f4.Lt / len(f4.values))
+    vals = time_rotor_forward(_kernel_sum(g, m, f4.values, False) * g.dx ** 3, f4.Lt)
     return SpacetimeSpectrum(g, f4.Lt, vals, m,
                              zero_mode_dropped=bool(g._kernel_tables(m)[2].any()))
 
 
 def spacetime_inverse(s4: SpacetimeSpectrum) -> SpacetimeField:
-    """Psi(x) = (1/(Lt L^3)) sum_p O^T(p, x) psi(p)."""
+    """Psi(x) = (1/(Lt L^3)) sum_p O^T(p, x) psi(p): the time rotor sum
+    first, so the spatial inverse's Am mirror reverses spatial momenta only."""
     g = s4.grid
-    vals = _kernel_sum(g, s4.mass, s4.values, True, True) / (s4.Lt * g.L ** 3)
+    vals = _kernel_sum(g, s4.mass, time_rotor_inverse(s4.values, s4.Lt), True) / g.L ** 3
     return SpacetimeField(g, s4.Lt, vals, s4.mass)

@@ -14,10 +14,13 @@ Forward transform: psi(p,l,mu) = integral r^2 dr dcos(theta) dphi
 Lambda^T Psi; inverse weight dp (E+m)/(E pi) per momentum node.  The
 identity ig^r Omega_{l,mu} = (-1)^mu Omega_{l,-mu-1} ig5 turns the ig^r
 terms into couplings with the partner mode (l, -mu-1), so both directions
-factorize into an angular projection followed by radial quadratures — the
-full (grid x grid) kernel is never built.  Per l, the radial stage is two
-Bessel matmuls (j_l, j_{l-1}) and one spinor structure (_l_block); the
-inverse applies their transposes.
+factorize into an angular stage and a radial one; no kernel is built.  The
+angular stage applies Omega = sum w Y_{l'm'} M (spherical._omega_terms) as
+a phi sum with e^{i m' phi} in G-complex form, a theta sum with the table
+N P_l'^m'(cos theta), then the map of the M onto modes in real form (the M
+do not commute with ig0).  Per l, the radial stage is two Bessel matmuls
+(j_l, j_{l-1}) and one spinor structure (_l_block).  The inverse applies
+both stages transposed, in reverse order.
 
 Discretization: midpoint radial nodes r_i = (i+1/2) dr on (0, rmax) and
 midpoint momentum nodes on (0, pmax) with pmax = pi nr / rmax; both stay
@@ -33,10 +36,10 @@ from math import pi
 
 import numpy as np
 
-from .clifford import IG, IG5, PROJ_DN, PROJ_UP
-from .fourier import rotate, time_rotor_forward, time_rotor_inverse
-from .spherical import (AngularGrid, angular_modes, gamma_r, omega_matrix,
-                        sph_jn_table)
+from .clifford import (IG, IG5, PROJ_DN, PROJ_UP, _to_complex, _to_real, rotate,
+                       time_rotor_forward, time_rotor_inverse)
+from .spherical import (AngularGrid, _omega_terms, angular_modes, assoc_legendre,
+                        gamma_r, omega_matrix, sph_jn_table, sph_norm)
 
 __all__ = [
     "AngularMode",
@@ -57,6 +60,7 @@ __all__ = [
 ]
 
 _G = IG[0]
+TAIL_LIMIT = 1e-8   # tail_fraction above which radial truncation may dominate
 
 
 @dataclass(frozen=True)
@@ -105,21 +109,26 @@ class SphericalGrid:
         self.angular = AngularGrid(ntheta, nphi)
         self.modes = angular_modes(lmax)
         self.mode_index = {m: i for i, m in enumerate(self.modes)}
-        self._omegas = None
+        # the angular stage: _y[l', m'+lmax, theta] (zero where |m'| > l'),
+        # _E[phi, m'+lmax] = e^{i m' phi} and _W[mode, :, l', m'+lmax, :] = sum w M^T
+        ms = np.arange(-lmax, lmax + 1)
+        self._y = np.zeros((lmax + 1, ms.size, ntheta))
+        for l in range(lmax + 1):
+            for m in range(-l, l + 1):
+                self._y[l, m + lmax] = sph_norm(l, m) * assoc_legendre(l, m, self.angular.x)
+        self._E = np.exp(1j * np.multiply.outer(self.angular.phi, ms))
+        self._W = np.zeros((len(self.modes), 4, lmax + 1, ms.size, 4))
+        for i, mode in enumerate(self.modes):
+            for w, lp, mp, M in _omega_terms(*mode):
+                self._W[i, :, lp, mp + lmax] += w * M.T
         self._jt = None
 
     def energies(self, m: float) -> np.ndarray:
         return np.sqrt(self.p ** 2 + m * m)
 
-    @property
-    def omegas(self) -> np.ndarray:
-        """Omega_{l,mu} sampled on the angular grid: (nmodes, ntheta, nphi, 4, 4)."""
-        if self._omegas is None:
-            th = self.angular.theta[:, None]
-            ph = self.angular.phi[None, :]
-            self._omegas = np.stack([omega_matrix(l, mu, th, ph)
-                                     for (l, mu) in self.modes])
-        return self._omegas
+    def omega(self, mode) -> np.ndarray:
+        """Omega_{l,mu} sampled on the angular grid: (ntheta, nphi, 4, 4)."""
+        return omega_matrix(*mode, self.angular.theta[:, None], self.angular.phi[None, :])
 
     @property
     def jt(self) -> np.ndarray:
@@ -141,10 +150,10 @@ class SphericalField:
         return float(np.einsum('rxya,rxya,r,xy->', self.values, self.values,
                                g.wr, g.angular.weights))
 
-    def tail_fraction(self, shells: int | None = None) -> float:
-        """Norm2 fraction in the outermost radial shells (default nr/64, >= 1)."""
+    def tail_fraction(self) -> float:
+        """Norm2 fraction in the outermost radial shells (nr/64, at least one)."""
         g = self.grid
-        shells = max(1, round(g.nr / 64)) if shells is None else shells
+        shells = max(1, round(g.nr / 64))
         v = self.values[-shells:]
         tail = float(np.einsum('rxya,rxya,r,xy->', v, v, g.wr[-shells:],
                                g.angular.weights))
@@ -221,13 +230,14 @@ def forward_hankel(field: SphericalField) -> HankelSpectrum:
     """psi(p,l,mu) = integral r^2 dr dOmega Lambda^T(p,l,mu) Psi; warns when the
     field carries weight near rmax, before which the quadrature assumes decay."""
     g = field.grid
-    if field.tail_fraction() > 1e-8:
+    if field.tail_fraction() > TAIL_LIMIT:
         warnings.warn("field tail at rmax exceeds 1e-8 of norm^2; "
                       "radial truncation error may dominate", stacklevel=2)
     m = field.mass
     p, Em = g.p[:, None], (g.energies(m) - m)[:, None]
-    a = np.einsum('mxyba,rxyb,xy,r->rma', g.omegas, field.values,
-                  g.angular.weights, g.wr, optimize=True)
+    z = _to_complex(field.values) @ g._E.conj()
+    b = _to_real(np.einsum('lmx,crxm->crlm', g._y * g.angular.weights[:, 0], z))
+    a = np.einsum('malnb,rlnb->rma', g._W, b, optimize=True) * g.wr[:, None, None]
     out = np.empty((g.np_points, len(g.modes), 4))
     for l in range(1, g.lmax + 1):
         blk, D, C = _l_block(l)
@@ -247,7 +257,8 @@ def inverse_hankel(spec: HankelSpectrum) -> SphericalField:
         z = spec.values[:, blk].reshape(g.np_points, -1)
         X, Y = np.hsplit(p * (z @ D) + Em * (z @ C), 2)
         cr[:, blk] = (g.jt[l].T @ X + g.jt[l - 1].T @ Y).reshape(g.nr, -1, 4)
-    vals = np.einsum('mxyab,rmb->rxya', g.omegas, cr, optimize=True)
+    c = _to_complex(np.einsum('malnb,rma->rlnb', g._W, cr, optimize=True))
+    vals = _to_real(np.einsum('lmx,crlm->crxm', g._y, c) @ g._E.T)
     return SphericalField(g, vals, m)
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clifford import CANONICAL as _REP, I4 as _I4, IG as _IG, IG5 as _IG5
+from .clifford import CANONICAL as _REP, I4 as _I4, IG as _IG, IG5 as _IG5, SIGMA as _SIGMA
 
 __all__ = [
     "PinElement",
@@ -202,13 +202,7 @@ def polar_decompose(S) -> PolarDecomposition:
 
 
 # the ten symmetric basis elements: 1, ig^j, g0 g^j, g^j g5
-_GAMMA_SYM = tuple(
-    rep for rep in (
-        [_I4, _IG[1], _IG[2], _IG[3]]
-        + list(BOOST_GENERATORS)
-        + [-(_IG[j] @ _IG5) for j in (1, 2, 3)]
-    )
-)
+_GAMMA_SYM = (_I4, *_IG[1:], *BOOST_GENERATORS, *_SIGMA)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from math import factorial, pi
 
 import numpy as np
 
-from .clifford import I4 as _I4, IG as _IG, PROJ_DN, PROJ_UP, SIGMA
+from .clifford import IG as _IG, PROJ_DN, PROJ_UP, SIGMA, rotor
 
 __all__ = [
     "assoc_legendre",
@@ -79,17 +79,13 @@ def sph_norm(l: int, m: int) -> float:
 
 
 def majorana_Y(l: int, m: int, theta, phi) -> np.ndarray:
-    """Matrix spherical harmonic Y_lm = N_lm P_l^m(cos t)(cos(m p) I + sin(m p) ig0).
+    """Matrix spherical harmonic Y_lm = N_lm P_l^m(cos t) rotor(m p).
 
     theta/phi may be scalars or broadcastable arrays; the result has shape
     ``broadcast_shape + (4, 4)``.
     """
-    theta = np.asarray(theta, dtype=float)
-    phi = np.asarray(phi, dtype=float)
-    p = sph_norm(l, m) * assoc_legendre(l, m, np.cos(theta))
-    c = p * np.cos(m * phi)
-    s = p * np.sin(m * phi)
-    return np.multiply.outer(c, _I4) + np.multiply.outer(s, _G)
+    y = sph_norm(l, m) * assoc_legendre(l, m, np.cos(np.asarray(theta, dtype=float)))
+    return y[..., None, None] * rotor(m * np.asarray(phi, dtype=float))
 
 
 def _barycentric_diffmat(x: np.ndarray) -> np.ndarray:
@@ -222,24 +218,23 @@ def angular_modes(lmax: int):
     return [(l, mu) for l in range(1, lmax + 1) for mu in range(-l, l)]
 
 
-def omega_matrix(l: int, mu: int, theta, phi) -> np.ndarray:
-    """Total-angular-momentum matrix Omega_{l,mu}(theta, phi).
-
-    Combines Y_{l,.} with the spin-up projector and Y_{l-1,.} with spin-down,
-    with square-root Clebsch weights; broadcasts over theta/phi to shape
-    ``broadcast + (4, 4)``.  Requires l >= 1 and -l <= mu <= l-1 (the mu = l
-    column is identically zero and is excluded from the index range).
-    """
+def _omega_terms(l: int, mu: int) -> list:
+    """The non-zero terms (w, l', m', M) of Omega_{l,mu} = sum w Y_{l'm'} M: Y_{l,.}
+    with spin up, Y_{l-1,.} with spin down, square-root Clebsch weights; each has
+    |m'| <= l'.  Needs l >= 1, -l <= mu <= l-1 (the mu = l column is zero)."""
     if l < 1 or not (-l <= mu <= l - 1):
         raise ValueError("need l >= 1 and -l <= mu <= l-1")
-    s1 = SIGMA[0]
-    out = (-np.sqrt((l - mu) / (2 * l + 1))) * (majorana_Y(l, mu, theta, phi) @ PROJ_UP)
-    out += np.sqrt((l + mu + 1) / (2 * l + 1)) * (majorana_Y(l, mu + 1, theta, phi) @ (s1 @ PROJ_UP))
-    if l + mu > 0:
-        out += np.sqrt((l + mu) / (2 * l - 1)) * (majorana_Y(l - 1, mu, theta, phi) @ (s1 @ PROJ_DN))
-    if l - mu - 1 > 0:
-        out += np.sqrt((l - mu - 1) / (2 * l - 1)) * (majorana_Y(l - 1, mu + 1, theta, phi) @ PROJ_DN)
-    return out
+    terms = [(-np.sqrt((l - mu) / (2 * l + 1)), l, mu, PROJ_UP),
+             (np.sqrt((l + mu + 1) / (2 * l + 1)), l, mu + 1, SIGMA[0] @ PROJ_UP),
+             (np.sqrt((l + mu) / (2 * l - 1)), l - 1, mu, SIGMA[0] @ PROJ_DN),
+             (np.sqrt((l - mu - 1) / (2 * l - 1)), l - 1, mu + 1, PROJ_DN)]
+    return [t for t in terms if t[0] != 0]
+
+
+def omega_matrix(l: int, mu: int, theta, phi) -> np.ndarray:
+    """Total-angular-momentum matrix Omega_{l,mu}(theta, phi) = sum of its _omega_terms."""
+    return sum(w * (majorana_Y(lp, mp, theta, phi) @ M)
+               for w, lp, mp, M in _omega_terms(l, mu))
 
 
 def sph_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:

@@ -516,7 +516,7 @@ def _hankel_suite(add, st, rng):
         "windowed single-channel spectrum: cross-channel leakage", off.max() / peak, 1e-6)
 
     gsr = np.exp(-((g.r - st.rmax / 4) / (st.rmax / 20)) ** 2)
-    base = np.einsum('xyab,b->xya', g.omegas[g.mode_index[(1, 0)]], chi)
+    base = np.einsum('xyab,b->xya', g.omega((1, 0)), chi)
     Psi = hankel.SphericalField(g, gsr[:, None, None, None] * base[None], m)
     co = hankel.forward_hankel(Psi)
     Psi2 = hankel.inverse_hankel(co)
@@ -550,7 +550,7 @@ def _hankel_suite(add, st, rng):
 
     gs = hankel.SphericalGrid(48, 16.0, 12, 24, 2, 48)
     gsr2 = np.exp(-((gs.r - 5.0) / 1.2) ** 2)
-    base2 = np.einsum('xyab,b->xya', gs.omegas[gs.mode_index[(1, 0)]], chi)
+    base2 = np.einsum('xyab,b->xya', gs.omega((1, 0)), chi)
     nt, Lt = 8, 4.0
     tenv = np.exp(-((np.arange(nt) * (Lt / nt) - 2.0) ** 2) / (2 * 0.5 ** 2))
     vals = tenv[:, None, None, None, None] * (gsr2[:, None, None, None] * base2[None])[None]

@@ -325,7 +325,7 @@ def test_criterion_08_hankel_full_resolution():
     leakage = off.max() / mags.max()
 
     env = np.exp(-((g.r - 10.0) / 2.0) ** 2)
-    base = np.einsum('xyab,b->xya', g.omegas[g.mode_index[(1, 0)]], CHI)
+    base = np.einsum('xyab,b->xya', g.omega((1, 0)), CHI)
     Psi = hankel.SphericalField(g, env[:, None, None, None] * base[None], m)
     Psi2 = hankel.inverse_hankel(hankel.forward_hankel(Psi))
     diff = hankel.SphericalField(g, Psi2.values - Psi.values, m)

@@ -1,6 +1,7 @@
 """Command-line driver: exit codes, artifacts, determinism, config errors."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -17,6 +18,7 @@ from hypothesis import given, settings, strategies as st
 
 from majorana import cli, hankel
 from majorana import io as fio
+from majorana.verify import VerifySettings
 
 SMALL_VERIFY = {"command": "verify", "n": 8, "nr": 48, "rmax": 16.0,
                 "ntheta": 12, "nphi": 24, "lmax": 2, "np": 48}
@@ -148,13 +150,20 @@ def test_evolve_spherical(tmp_path):
 
 @pytest.mark.filterwarnings("ignore:field tail")  # delta spectra do not decay
 @pytest.mark.parametrize("command", ["evolve", "transform"])
-def test_spherical_single_mode_records_snapped_p(tmp_path, command):
+def test_spherical_single_mode_records_snapped_p(tmp_path, capsys, command):
     doc = dict(SMALL_SPH, command=command, mass=1.0,
                initial={"type": "single-mode", "p": 1.5, "l": 2, "mu": -1})
     # the summary is written whatever the verdict: an undecayed delta
-    # spectrum misses transform's 1e-4 round-trip threshold at rmax
-    run(tmp_path, command, doc)
+    # spectrum misses transform's 1e-4 round-trip threshold at rmax, and
+    # the FAIL line names that tail as the cause
+    code, _ = run(tmp_path, command, doc)
     assert_snapped_p(load_summary(tmp_path / "out"), 1.5)
+    if command == "transform":
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert code == 1
+        assert last.startswith("FAIL: artifacts in")
+        assert "the field's tail at rmax holds" in last
+        assert "not the transform, sets the error" in last
 
 
 # ----------------------------------------------------------------- transform
@@ -227,6 +236,16 @@ def test_spectrum_spherical_single_mode(tmp_path):
     assert s["dominant_single_mode"] is True
     assert math.isfinite(s["tail_fraction"]) and s["tail_fraction"] > 0
     assert_snapped_p(s, 1.5)
+
+
+def test_run_config_defaults_are_the_only_defaults(tmp_path):
+    # load_config fills every absent key from RunConfig, and verify's
+    # settings share RunConfig's defaults field by field
+    cfg = cli.load_config(write_cfg(tmp_path, "empty.json", {}), "verify", None)
+    assert cfg == cli.RunConfig("verify")
+    vs = VerifySettings()
+    for f in dataclasses.fields(vs):
+        assert getattr(cfg, f.name) == getattr(vs, f.name), f.name
 
 
 # -------------------------------------------------------------- config errors
