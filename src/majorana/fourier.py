@@ -21,6 +21,12 @@ the G-complex form of ``clifford`` every rotor DFT sum_x rotor(-+p.x) F(x) is
 one complex FFT.  Am acts antilinearly there and couples p to -p, so each
 direction is one FFT plus an index reversal; the space-time pair composes
 the spatial transform with the time rotor DFT of ``clifford``.
+
+Evolution: the rotor rotor(-E t) is the phase e^{-iEt} in G-complex form.
+The inverse amplitude has two halves, Ap a and n = -K conj(a(-p)); the
+conjugate turns the phase of the second into e^{+iEt} (E(-p) = E(p)), so
+the positive- and negative-energy halves are built once and each frame of
+``evolved_densities`` is one phase and one FFT.
 """
 
 from __future__ import annotations
@@ -43,6 +49,7 @@ __all__ = [
     "forward",
     "inverse",
     "evolve",
+    "evolved_densities",
     "plane_wave",
     "DiracSpectrum",
     "project_particle",
@@ -69,25 +76,29 @@ def energy(p, m: float):
     return np.sqrt((p * p).sum(-1) + m * m)
 
 
+def _mirror_half(grid, m: float, a: np.ndarray, s: int) -> np.ndarray:
+    """s K conj(a(-p)): Am of A = Ap + Am on the G-complex a.  Am anticommutes
+    with ig0, so it acts as K on conj; a(-p) is the index reversal k -> -k."""
+    mirror = np.roll(np.flip(a, _SPACE), 1, _SPACE)
+    Km = np.einsum('ab...,b...->a...', grid._complex_tables(m)[1], np.conj(mirror, out=mirror))
+    Km *= s
+    return Km
+
+
 def _kernel_sum(grid, m: float, values: np.ndarray, inverse: bool):
     """Unweighted sum_x O(p,x) Psi(x), or sum_p O^T(p,x) psi(p) if inverse,
     as one FFT of the G-complex 2-spinor over the last three grid axes.
 
-    O = rotor(-p.x) (Ap + Am).  Am anticommutes with ig0, so it acts
-    antilinearly (as K on conj), and moving it through the rotor flips
-    p -> -p: A becomes a -> Ap a + s K conj(a(-p)), with s = -1 on the
-    inverse side as K(-p) = -K(p).  a(-p) is the index reversal k -> -k.
+    O = rotor(-p.x) (Ap + Am); moving Am through the rotor flips p -> -p, so A
+    acts as a -> Ap a + _mirror_half(a), with s = -1 on the inverse side as
+    K(-p) = -K(p).
     """
-    Ap, K = grid._complex_tables(m)
-    s = -1 if inverse else 1
-
-    def amplitude(a):
-        mirror = np.roll(np.flip(a, _SPACE), 1, _SPACE).conj()
-        return Ap * a + s * np.einsum('ab...,b...->a...', K, mirror)
-
+    Ap = grid._complex_tables(m)[0]
     z = _to_complex(values)
-    return _to_real(_rotor_dft(amplitude(z), _SPACE, +1) if inverse
-                    else amplitude(_rotor_dft(z, _SPACE, -1)))
+    if inverse:
+        return _to_real(_rotor_dft(Ap * z + _mirror_half(grid, m, z, -1), _SPACE, +1))
+    z = _rotor_dft(z, _SPACE, -1)
+    return _to_real(Ap * z + _mirror_half(grid, m, z, 1))
 
 
 def _amplitude(p, m: float) -> np.ndarray:
@@ -242,6 +253,30 @@ def evolve(spec: MomentumSpectrum, t: float) -> MomentumSpectrum:
     """Free evolution psi(p) -> rotor(-E_p t) psi(p); exactly norm-preserving."""
     E = spec.grid.energies(spec.mass)
     return replace(spec, values=rotate(-E * t, spec.values))
+
+
+def evolved_densities(spec: MomentumSpectrum, times):
+    """For each t, yield evolve(spec, t).norm2() and the density |Psi|^2 of
+    inverse(evolve(spec, t)): ifftn(e^{-iEt} Ap a + e^{+iEt} n) / L^3."""
+    g, m = spec.grid, spec.mass
+    # E depends on |p| alone, so the grid holds few distinct energies
+    E, at = np.unique(g.energies(m), return_inverse=True)
+    a = _to_complex(spec.values)
+    Ap, n = g._complex_tables(m)[0], _mirror_half(g, m, a, -1)
+    ph, z = np.empty(Ap.shape, complex), np.empty_like(a)
+    for t in times:
+        np.take(np.exp(-1j * t * E), at.reshape(Ap.shape), out=ph)
+        np.multiply(a, ph, out=z)
+        norm2 = np.vdot(z, z).real / g.L ** 3
+        z *= Ap
+        np.conjugate(ph, out=ph)
+        dens = np.zeros(Ap.shape)
+        for zc, nc in zip(z, n):      # one spinor component at a time keeps memory flat
+            zc += ph * nc
+            f = _rotor_dft(zc, _SPACE, +1)
+            dens += f.real ** 2
+            dens += f.imag ** 2
+        yield norm2, dens / g.L ** 6
 
 
 def plane_wave(grid: CartesianGrid, kvec, m: float, chi, t: float = 0.0) -> SpinorField:

@@ -51,6 +51,7 @@ __all__ = [
     "forward_hankel",
     "inverse_hankel",
     "evolve_hankel",
+    "evolved_norms",
     "dirac_apply",
     "eigen_relation_residual",
     "SpacetimeSphericalField",
@@ -266,6 +267,15 @@ def evolve_hankel(spec: HankelSpectrum, t: float) -> HankelSpectrum:
     """Per-mode rotor evolution psi(p,l,mu) -> rotor(-E_p t) psi(p,l,mu)."""
     ang = -spec.grid.energies(spec.mass) * t
     return replace(spec, values=rotate(ang[:, None], spec.values))
+
+
+def evolved_norms(spec: HankelSpectrum, times):
+    """For each t, yield evolve_hankel(spec, t).norm2(), with the rotor as the
+    phase e^{-iE_p t} on the G-complex spectrum."""
+    a, E = _to_complex(spec.values), spec.grid.energies(spec.mass)[:, None]
+    for t in times:
+        yield float(np.einsum('cpm,p->', np.abs(np.exp(-1j * t * E) * a) ** 2,
+                              spec.p_weights()))
 
 
 # ----------------------------------------------------------------------------

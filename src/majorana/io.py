@@ -3,9 +3,10 @@
 Cartesian binary layout (magic ``MAJ1``): u32 version = 1, u32 rank (3 or 4),
 rank u32 axis sizes, rank f64 box lengths, f64 mass, then row-major
 little-endian f64 spinor components (4 per grid point).  Spherical layout
-(magic ``MAJS``): u32 version = 1, u32 nr/ntheta/nphi, f64 rmax, f64 mass,
-node arrays (r, cos(theta), phi as f64), then spinor data (nr, ntheta, nphi,
-4) row-major.
+(magic ``MAJS``): u32 version = 2, u32 nr/ntheta/nphi/lmax/np_points, f64
+rmax, f64 mass, node arrays (r, cos(theta), phi as f64), then spinor data
+(nr, ntheta, nphi, 4) row-major.  Version 1, still read, lacks lmax and
+np_points.
 
 CSV exports carry one row per grid point: coordinate columns (x,y,z or
 x0..x3 or r,theta,phi), then psi0..psi3; mode spectra use p,l,mu,psi0..psi3.
@@ -119,22 +120,36 @@ def write_majs(path, field: SphericalField) -> None:
     g = field.grid
     with open(path, 'wb') as fh:
         fh.write(_MAGIC_SPH)
-        fh.write(np.array([1, g.nr, g.angular.ntheta, g.angular.nphi],
-                          dtype=_U32).tobytes())
+        fh.write(np.array([2, g.nr, g.angular.ntheta, g.angular.nphi, g.lmax,
+                           g.np_points], dtype=_U32).tobytes())
         fh.write(np.array([g.rmax, field.mass], dtype=_F64).tobytes())
         for a in (g.r, g.angular.x, g.angular.phi, field.values):
             fh.write(np.ascontiguousarray(a, dtype=_F64).tobytes())
 
 
-def read_majs(path, lmax: int = 5, np_points: int | None = None) -> SphericalField:
-    """Read a MAJS file; lmax/np_points set the transform side of the grid
-    (they are not stored in the file)."""
+def read_majs(path, lmax: int | None = None,
+              np_points: int | None = None) -> SphericalField:
+    """Read a MAJS file.  lmax/np_points set the transform side of the grid:
+    version 2 stores them, and a value given here must agree; version 1 does
+    not, so they default to 5 and nr."""
     with open(path, 'rb') as fh:
         if fh.read(4) != _MAGIC_SPH:
             raise FormatError("bad magic (expected MAJS)")
-        version, nr, ntheta, nphi = (int(v) for v in _read(fh, 4, _U32, "version/dims"))
-        if version != 1:
+        version = int(_read(fh, 1, _U32, "version")[0])
+        if version not in (1, 2):
             raise FormatError(f"unsupported version: {version}")
+        nr, ntheta, nphi, *saved = (int(v) for v in _read(
+            fh, 3 if version == 1 else 5, _U32, "dims"))
+        if not saved:
+            saved = (5 if lmax is None else lmax), (np_points or nr)
+        elif max(saved[0] ** 4, saved[1]) > 4 * nr * ntheta * nphi:
+            # the grid's tables grow as lmax^4: more than the file holds is hostile
+            raise FormatError(f"stored lmax/np_points {saved} are too large "
+                              f"for a {nr}x{ntheta}x{nphi} field")
+        elif any(v not in (None, k) for v, k in zip((lmax, np_points), saved)):
+            raise FormatError(f"lmax/np_points {lmax}/{np_points} disagree with "
+                              f"the file's {saved[0]}/{saved[1]}")
+        lmax, np_points = saved
         rmax, mass = _read(fh, 2, _F64, "rmax/mass")
         if not np.isfinite([rmax, mass]).all():
             raise FormatError("rmax and mass must be finite")
@@ -142,7 +157,7 @@ def read_majs(path, lmax: int = 5, np_points: int | None = None) -> SphericalFie
     nn = nr + ntheta + nphi
     r, x, phi = data[:nr], data[nr:nr + ntheta], data[nr + ntheta:nn]
     try:
-        grid = SphericalGrid(nr, float(rmax), ntheta, nphi, lmax, np_points or nr)
+        grid = SphericalGrid(nr, float(rmax), ntheta, nphi, lmax, np_points)
     except ValueError as e:
         raise FormatError(f"bad geometry: {e}")
     for stored, built, name in ((r, grid.r, 'r'), (x, grid.angular.x, 'costheta'),

@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from majorana import cli, hankel
+from majorana import cli, fourier, hankel
 from majorana import io as fio
 from majorana.verify import VerifySettings
 
@@ -121,6 +121,42 @@ def test_evolve_boosted_packet_tracks_group_velocity(tmp_path):
     vp, vm = s["group_velocity_predicted"], s["group_velocity_measured"]
     assert abs(vm[0] - vp[0]) <= 0.02 * abs(vp[0])
     assert abs(vm[1]) < 0.02 and abs(vm[2]) < 0.02
+
+
+def per_step_frames(cfg):
+    """frames.csv rows as evolve's per-step loop made them, with one evolve
+    and one inverse per frame: the reference for evolved_densities."""
+    grid, field0 = cli._initial_cartesian(cfg)
+    spec0 = fourier.forward(field0)
+    w = (spec0.values ** 2).sum(-1)
+    energy = float((grid.energies(cfg.mass) * w).sum() / w.sum())
+    rows = []
+    for k in range(cfg.steps + 1):
+        cur = fourier.evolve(spec0, k * cfg.dt) if k else spec0
+        fld = fourier.inverse(cur) if k else field0
+        dens = np.einsum('xyza,xyza->xyz', fld.values, fld.values)
+        c = [dens.sum(axes) @ grid.xs for axes in ((1, 2), (0, 2), (0, 1))]
+        rows.append([k, k * cfg.dt, cur.norm2(), energy, *(np.array(c) / dens.sum())])
+    return np.array(rows), fourier.inverse(fourier.evolve(spec0, cfg.steps * cfg.dt))
+
+
+def test_evolve_frames_match_the_per_step_loop(tmp_path):
+    doc = {"command": "evolve", "n": 16, "L": 8.0, "mass": 1.0,
+           "initial": {"type": "gaussian", "spinor": [0.5, -0.2, 0.7, 0.1],
+                       "center": [3.5, 4.0, 4.5], "width": 1.2,
+                       "boost": [0.9, -0.4, 0.3]},
+           "time": {"steps": 20, "dt": 0.05},
+           "output": {"formats": ["csv", "bin"]}}
+    code, od = run(tmp_path, "evolve", doc)
+    assert code == 0
+    want, final = per_step_frames(cli.load_config(str(tmp_path / "evolve.json"),
+                                                  "evolve", None))
+    got = np.loadtxt(od / "frames.csv", delimiter=",", skiprows=1)
+    assert got.shape == want.shape
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
+    np.testing.assert_array_equal(fio.read_maj1(od / "final.maj1").values, final.values)
+    fio.write_field_csv(tmp_path / "final.csv", final)
+    assert (od / "final.csv").read_bytes() == (tmp_path / "final.csv").read_bytes()
 
 
 def test_evolve_zero_field_is_quiet(tmp_path):

@@ -266,6 +266,53 @@ def test_evolve_preserves_norm_many_steps():
     assert abs(cur.norm2() - n0) <= 1e-12 * n0
 
 
+SPACE = (-3, -2, -1)
+
+
+def unsplit_kernel_sum(g, m, values, inverse):
+    """The kernel sum as written before its amplitude was split into halves:
+    the oracle the transforms must match bit for bit."""
+    Ap, K = g._complex_tables(m)
+    s = -1 if inverse else 1
+
+    def amplitude(a):
+        mirror = np.roll(np.flip(a, SPACE), 1, SPACE).conj()
+        return Ap * a + s * np.einsum('ab...,b...->a...', K, mirror)
+
+    z = clifford._to_complex(values)
+    return clifford._to_real(clifford._rotor_dft(amplitude(z), SPACE, +1) if inverse
+                             else amplitude(clifford._rotor_dft(z, SPACE, -1)))
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("m", [1.0, 0.0])
+def test_transforms_equal_the_unsplit_amplitude(n, m):
+    g = fourier.CartesianGrid(n, 5.0)
+    vals = np.random.default_rng(n).standard_normal((n, n, n, 4))
+    back = fourier.inverse(fourier.MomentumSpectrum(g, vals, m)).values
+    assert np.array_equal(back, unsplit_kernel_sum(g, m, vals, True) / g.L ** 3)
+    spec = fourier.forward(fourier.SpinorField(g, vals, m)).values
+    assert np.array_equal(spec, unsplit_kernel_sum(g, m, vals, False) * g.dx ** 3)
+
+
+@pytest.mark.parametrize("n", [8, 16])
+@pytest.mark.parametrize("m", [1.0, 0.0])
+def test_evolved_densities_match_evolve_then_inverse(n, m):
+    g = fourier.CartesianGrid(n, 5.0)
+    field = fourier.SpinorField(g, np.random.default_rng(n).standard_normal((n, n, n, 4)), m)
+    spec = fourier.forward(field)
+    assert spec.zero_mode_dropped == (m == 0)
+    assert np.abs(spec.values[n // 2]).min() > 0             # Nyquist planes filled
+    times = [0.0, 0.37, 5.0]
+    got = list(fourier.evolved_densities(spec, times))
+    assert len(got) == len(times)
+    for t, (norm2, dens) in zip(times, got):
+        cur = fourier.evolve(spec, t)
+        want = (fourier.inverse(cur).values ** 2).sum(-1)
+        assert abs(norm2 - cur.norm2()) <= 1e-13 * cur.norm2()
+        assert np.abs(dens - want).max() <= 1e-13 * want.max()
+
+
 # ---------------------------------------------------------------- projections
 
 def test_projections_idempotent_complementary():

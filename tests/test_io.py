@@ -153,13 +153,21 @@ def test_majs_bad_magic_and_truncation(tmp_path):
         io.read_majs(q)
 
 
-MAJS_HEADER = 4 + 4 * 4 + 2 * 8
+MAJS_HEADER = 4 + 4 * 4 + 2 * 8                  # version 1
+MAJS2_HEADER = 4 + 6 * 4 + 2 * 8                 # version 2: + lmax, np_points
 
 
-def small_majs(tmp_path):
+def as_v1(raw: bytes) -> bytes:
+    """A version-2 MAJS file as version 1 writes it: no lmax, np_points."""
+    return raw[:4] + np.array([1], dtype='<u4').tobytes() + raw[8:20] + raw[28:]
+
+
+def small_majs(tmp_path, version=1):
     g = hankel.SphericalGrid(16, 8.0, 6, 12, 1, 16)
     p = tmp_path / "s.majs"
     io.write_majs(p, hankel.SphericalField(g, RNG.standard_normal((16, 6, 12, 4)), 1.0))
+    if version == 1:
+        p.write_bytes(as_v1(p.read_bytes()))
     return p
 
 
@@ -202,9 +210,70 @@ def test_majs_node_consistency_check(tmp_path):
     f = hankel.SphericalField(g, np.zeros((16, 6, 12, 4)), 1.0)
     p = tmp_path / "n.majs"
     io.write_majs(p, f)
-    raw = bytearray(p.read_bytes())
+    raw = bytearray(as_v1(p.read_bytes()))
     # corrupt the first stored radial node (offset: magic 4 + 4 u32 + 2 f64)
     raw[36:44] = np.array([99.0]).tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(io.FormatError, match="nodes"):
+        io.read_majs(p)
+
+
+def test_majs_v2_stores_lmax_and_np_points(tmp_path):
+    p = small_majs(tmp_path, version=2)
+    assert np.frombuffer(p.read_bytes()[4:28], dtype='<u4').tolist() == [2, 16, 6, 12, 1, 16]
+    back = io.read_majs(p)
+    assert (back.grid.lmax, back.grid.np_points) == (1, 16)
+    np.testing.assert_array_equal(io.read_majs(p, lmax=1, np_points=16).values,
+                                  back.values)
+    for kw in ({"lmax": 2}, {"np_points": 32}):
+        with pytest.raises(io.FormatError, match="disagree"):
+            io.read_majs(p, **kw)
+
+
+def test_majs_v1_reads_with_default_or_given_lmax_and_np_points(tmp_path):
+    p = small_majs(tmp_path, version=1)
+    back = io.read_majs(p)
+    assert (back.grid.lmax, back.grid.np_points) == (5, 16)
+    back = io.read_majs(p, lmax=2, np_points=8)
+    assert (back.grid.lmax, back.grid.np_points) == (2, 8)
+
+
+def test_majs_v2_truncated_at_every_header_offset(tmp_path):
+    raw = small_majs(tmp_path, version=2).read_bytes()
+    cut = tmp_path / "cut.majs"
+    nodes = 8 * (16 + 6 + 12)
+    for k in range(MAJS2_HEADER + nodes + 9):
+        cut.write_bytes(raw[:k])
+        with pytest.raises(io.FormatError):
+            io.read_majs(cut)
+
+
+@pytest.mark.parametrize("offset", [28, 36])           # rmax, mass
+def test_majs_v2_rejects_non_finite_geometry(tmp_path, offset):
+    p = small_majs(tmp_path, version=2)
+    raw = bytearray(p.read_bytes())
+    raw[offset:offset + 8] = np.array([np.nan]).tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(io.FormatError, match="finite"):
+        io.read_majs(p)
+
+
+@pytest.mark.parametrize("lmax, np_points, match", [
+    (2 ** 31, 16, "too large"), (1, 2 ** 31, "too large"),
+    (0, 16, "geometry"), (1, 1, "geometry")])
+def test_majs_v2_rejects_bad_lmax_and_np_points(tmp_path, lmax, np_points, match):
+    p = small_majs(tmp_path, version=2)
+    raw = bytearray(p.read_bytes())
+    raw[20:28] = np.array([lmax, np_points], dtype='<u4').tobytes()
+    p.write_bytes(bytes(raw))
+    with pytest.raises(io.FormatError, match=match):
+        io.read_majs(p)
+
+
+def test_majs_v2_node_consistency_check(tmp_path):
+    p = small_majs(tmp_path, version=2)
+    raw = bytearray(p.read_bytes())
+    raw[MAJS2_HEADER:MAJS2_HEADER + 8] = np.array([99.0]).tobytes()   # first r node
     p.write_bytes(bytes(raw))
     with pytest.raises(io.FormatError, match="nodes"):
         io.read_majs(p)
