@@ -345,8 +345,6 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
 
     out = _out_path(cfg)
     rows = []
-    # frames evolve the initial spectrum by the exact k dt: no rounding piles up
-    times = [k * cfg.dt for k in range(cfg.steps + 1)]
     if cfg.domain == "cartesian":
         grid, field0 = _initial_cartesian(cfg)
         spec0 = fourier.forward(field0)
@@ -366,6 +364,8 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
                              dens.sum((0, 1)) @ grid.xs]) / tot
 
         norm0 = spec0.norm2()
+        # frames evolve spec0 by the exact time k dt, so rounding does not pile up
+        times = [k * cfg.dt for k in range(cfg.steps + 1)]
         c0 = centroid(np.einsum('xyza,xyza->xyz', field0.values, field0.values))
         rows.append((0, times[0], norm0, energy, *c0))
         for k, (norm2, dens) in enumerate(fourier.evolved_densities(spec0, times[1:]), 1):
@@ -394,13 +394,12 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
         wtot = w.sum()
         energy = float((E * w).sum() / wtot) if wtot > 0 else 0.0
         norm0 = spec.norm2()
-        rows.append((0, times[0], norm0, energy))
-        for k, norm2 in enumerate(hankel.evolved_norms(spec, times[1:]), 1):
-            rows.append((k, times[k], norm2, energy))
+        for k in range(cfg.steps + 1):
+            cur = hankel.evolve_hankel(spec, k * cfg.dt) if k else spec
+            rows.append((k, k * cfg.dt, cur.norm2(), energy))
         drift = _rel(np.abs(np.array([r[2] for r in rows]) - norm0).max(), norm0)
         header = "step,t,norm,energy"
-        fld = hankel.inverse_hankel(hankel.evolve_hankel(spec, times[-1]) if cfg.steps
-                                    else spec)
+        fld = hankel.inverse_hankel(cur)
         summary = {
             "domain": "spherical", "steps": cfg.steps, "dt": cfg.dt,
             "tail_fraction": field0.tail_fraction(), **snap,

@@ -259,13 +259,11 @@ def evolved_densities(spec: MomentumSpectrum, times):
     """For each t, yield evolve(spec, t).norm2() and the density |Psi|^2 of
     inverse(evolve(spec, t)): ifftn(e^{-iEt} Ap a + e^{+iEt} n) / L^3."""
     g, m = spec.grid, spec.mass
-    # E depends on |p| alone, so the grid holds few distinct energies
-    E, at = np.unique(g.energies(m), return_inverse=True)
-    a = _to_complex(spec.values)
+    a, E = _to_complex(spec.values), g.energies(m)
     Ap, n = g._complex_tables(m)[0], _mirror_half(g, m, a, -1)
-    ph, z = np.empty(Ap.shape, complex), np.empty_like(a)
+    ph, z = np.empty(E.shape, complex), np.empty_like(a)
     for t in times:
-        np.take(np.exp(-1j * t * E), at.reshape(Ap.shape), out=ph)
+        np.exp(np.multiply(E, -1j * t, out=ph), out=ph)
         np.multiply(a, ph, out=z)
         norm2 = np.vdot(z, z).real / g.L ** 3
         z *= Ap
@@ -274,8 +272,7 @@ def evolved_densities(spec: MomentumSpectrum, times):
         for zc, nc in zip(z, n):      # one spinor component at a time keeps memory flat
             zc += ph * nc
             f = _rotor_dft(zc, _SPACE, +1)
-            dens += f.real ** 2
-            dens += f.imag ** 2
+            dens += f.real ** 2 + f.imag ** 2
         yield norm2, dens / g.L ** 6
 
 

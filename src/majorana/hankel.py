@@ -51,7 +51,6 @@ __all__ = [
     "forward_hankel",
     "inverse_hankel",
     "evolve_hankel",
-    "evolved_norms",
     "dirac_apply",
     "eigen_relation_residual",
     "SpacetimeSphericalField",
@@ -95,8 +94,9 @@ class SphericalGrid:
 
     def __init__(self, nr: int, rmax: float, ntheta: int, nphi: int,
                  lmax: int, np_points: int):
-        if nr < 8 or lmax < 1 or np_points < 2:
-            raise ValueError("need nr >= 8, lmax >= 1, np_points >= 2")
+        # the caps keep the tables small whatever a file header says (_W: 256 lmax^4 B)
+        if not (nr >= 8 and 1 <= lmax <= 32 and 2 <= np_points <= 2 ** 20):
+            raise ValueError("need nr >= 8, 1 <= lmax <= 32, 2 <= np_points <= 2^20")
         if not (rmax > 0):
             raise ValueError("rmax must be positive")
         self.nr, self.rmax, self.lmax = int(nr), float(rmax), int(lmax)
@@ -267,15 +267,6 @@ def evolve_hankel(spec: HankelSpectrum, t: float) -> HankelSpectrum:
     """Per-mode rotor evolution psi(p,l,mu) -> rotor(-E_p t) psi(p,l,mu)."""
     ang = -spec.grid.energies(spec.mass) * t
     return replace(spec, values=rotate(ang[:, None], spec.values))
-
-
-def evolved_norms(spec: HankelSpectrum, times):
-    """For each t, yield evolve_hankel(spec, t).norm2(), with the rotor as the
-    phase e^{-iE_p t} on the G-complex spectrum."""
-    a, E = _to_complex(spec.values), spec.grid.energies(spec.mass)[:, None]
-    for t in times:
-        yield float(np.einsum('cpm,p->', np.abs(np.exp(-1j * t * E) * a) ** 2,
-                              spec.p_weights()))
 
 
 # ----------------------------------------------------------------------------

@@ -135,21 +135,15 @@ def read_majs(path, lmax: int | None = None,
     with open(path, 'rb') as fh:
         if fh.read(4) != _MAGIC_SPH:
             raise FormatError("bad magic (expected MAJS)")
-        version = int(_read(fh, 1, _U32, "version")[0])
+        version, nr, ntheta, nphi = (int(v) for v in _read(fh, 4, _U32, "version/dims"))
         if version not in (1, 2):
             raise FormatError(f"unsupported version: {version}")
-        nr, ntheta, nphi, *saved = (int(v) for v in _read(
-            fh, 3 if version == 1 else 5, _U32, "dims"))
-        if not saved:
-            saved = (5 if lmax is None else lmax), (np_points or nr)
-        elif max(saved[0] ** 4, saved[1]) > 4 * nr * ntheta * nphi:
-            # the grid's tables grow as lmax^4: more than the file holds is hostile
-            raise FormatError(f"stored lmax/np_points {saved} are too large "
-                              f"for a {nr}x{ntheta}x{nphi} field")
-        elif any(v not in (None, k) for v, k in zip((lmax, np_points), saved)):
-            raise FormatError(f"lmax/np_points {lmax}/{np_points} disagree with "
-                              f"the file's {saved[0]}/{saved[1]}")
-        lmax, np_points = saved
+        if version == 2:
+            saved = [int(v) for v in _read(fh, 2, _U32, "lmax/np_points")]
+            if any(v not in (None, k) for v, k in zip((lmax, np_points), saved)):
+                raise FormatError(f"lmax/np_points {lmax}/{np_points} disagree "
+                                  f"with the file's {saved[0]}/{saved[1]}")
+            lmax, np_points = saved
         rmax, mass = _read(fh, 2, _F64, "rmax/mass")
         if not np.isfinite([rmax, mass]).all():
             raise FormatError("rmax and mass must be finite")
@@ -157,7 +151,8 @@ def read_majs(path, lmax: int | None = None,
     nn = nr + ntheta + nphi
     r, x, phi = data[:nr], data[nr:nr + ntheta], data[nr + ntheta:nn]
     try:
-        grid = SphericalGrid(nr, float(rmax), ntheta, nphi, lmax, np_points)
+        grid = SphericalGrid(nr, float(rmax), ntheta, nphi,
+                             5 if lmax is None else lmax, np_points or nr)
     except ValueError as e:
         raise FormatError(f"bad geometry: {e}")
     for stored, built, name in ((r, grid.r, 'r'), (x, grid.angular.x, 'costheta'),

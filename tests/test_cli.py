@@ -313,6 +313,8 @@ def test_run_config_defaults_are_the_only_defaults(tmp_path):
     {"command": "evolve", "n": 8, "tolerances": {"fourier.roundtrip": NAN}},
     dict(SMALL_SPH, command="evolve", initial={"l": 1.5}),    # not integers
     dict(SMALL_SPH, command="evolve", initial={"l": 2, "mu": 0.5}),
+    dict(SMALL_SPH, command="evolve", lmax=33),                # past the grid's caps
+    dict(SMALL_SPH, command="evolve", np=2 ** 20 + 1),
 ])
 def test_bad_configs_exit_2(tmp_path, doc):
     cfg = write_cfg(tmp_path, "bad.json", doc)

@@ -194,17 +194,6 @@ def test_evolve_preserves_norm(grid):
     assert abs(cur.norm2() - n0) <= 1e-12 * n0
 
 
-def test_evolved_norms_match_evolve_hankel(grid):
-    vals = RNG.standard_normal((grid.np_points, len(grid.modes), 4))
-    spec = hankel.HankelSpectrum(grid, vals, 1.0)
-    times = [0.0, 0.37, 5.0]
-    got = list(hankel.evolved_norms(spec, times))
-    assert len(got) == len(times)
-    for t, norm2 in zip(times, got):
-        want = hankel.evolve_hankel(spec, t).norm2()
-        assert abs(norm2 - want) <= 1e-14 * want
-
-
 @pytest.mark.parametrize("p,mode", [(1.0, (1, 0)), (0.9, (2, 1)), (1.0, (2, -2))])
 def test_eigen_relation(grid, p, mode):
     # residual dominated by the (p dr)^6 radial-stencil truncation

@@ -258,16 +258,30 @@ def test_majs_v2_rejects_non_finite_geometry(tmp_path, offset):
         io.read_majs(p)
 
 
-@pytest.mark.parametrize("lmax, np_points, match", [
-    (2 ** 31, 16, "too large"), (1, 2 ** 31, "too large"),
-    (0, 16, "geometry"), (1, 1, "geometry")])
-def test_majs_v2_rejects_bad_lmax_and_np_points(tmp_path, lmax, np_points, match):
+@pytest.mark.parametrize("lmax, np_points", [
+    (2 ** 31, 16), (33, 16), (1, 2 ** 31), (1, 2 ** 20 + 1), (0, 16), (1, 1)])
+def test_majs_v2_rejects_bad_lmax_and_np_points(tmp_path, lmax, np_points):
+    # past SphericalGrid's caps a hostile header fails before any table is built
     p = small_majs(tmp_path, version=2)
     raw = bytearray(p.read_bytes())
     raw[20:28] = np.array([lmax, np_points], dtype='<u4').tobytes()
     p.write_bytes(bytes(raw))
-    with pytest.raises(io.FormatError, match=match):
+    with pytest.raises(io.FormatError, match="geometry"):
         io.read_majs(p)
+
+
+@pytest.mark.parametrize("dims, lmax, np_points", [
+    ((8, 4, 4), 5, 256),            # the smallest grid a config may give, default lmax/np
+    ((16, 8, 16), 10, 16), ((8, 4, 4), 1, 2 ** 20)])
+def test_majs_v2_roundtrip_small_or_oversampled_grids(tmp_path, dims, lmax, np_points):
+    nr, ntheta, nphi = dims
+    g = hankel.SphericalGrid(nr, 8.0, ntheta, nphi, lmax, np_points)
+    f = hankel.SphericalField(g, RNG.standard_normal((*dims, 4)), 1.0)
+    p = tmp_path / "f.majs"
+    io.write_majs(p, f)
+    back = io.read_majs(p)
+    assert (back.grid.lmax, back.grid.np_points) == (lmax, np_points)
+    np.testing.assert_array_equal(back.values, f.values)
 
 
 def test_majs_v2_node_consistency_check(tmp_path):
