@@ -399,7 +399,7 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
             rows.append((k, k * cfg.dt, cur.norm2(), energy))
         drift = _rel(np.abs(np.array([r[2] for r in rows]) - norm0).max(), norm0)
         header = "step,t,norm,energy"
-        fld = hankel.inverse_hankel(cur)
+        fld = hankel.inverse_hankel(cur) if cfg.steps else field0
         summary = {
             "domain": "spherical", "steps": cfg.steps, "dt": cfg.dt,
             "tail_fraction": field0.tail_fraction(), **snap,

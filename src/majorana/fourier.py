@@ -1,24 +1,30 @@
 """Plane-wave transforms of real Majorana spinor fields on periodic grids.
 
-The kernel O(p,x) = rotor(-p.x) (pslash g0 + m)/(sqrt(E+m) sqrt(2E)) plays the
-role of e^{-ip.x} u(p): everything stays real, with the orthogonal matrix
-ig0 standing in for the imaginary unit.  pslash g0 + m expands to
-(E+m) I + p_j (ig^j)(ig0), a symmetric matrix, so the kernel splits into a
-commuting rotor factor and a symmetric amplitude A(p) = Ap I + Am(p), where
-Ap is a scalar and Am anticommutes with ig0.
+The kernel O(p,x) = rotor(-p.x) A(p) plays the role of e^{-ip.x} u(p):
+everything stays real, with the orthogonal matrix ig0 standing in for the
+imaginary unit.  The amplitude is the symmetric matrix
+
+    A(p) = ((E+m) I + p_j (ig^j)(ig0)) / sqrt((E+m)^2 + |p|^2),
+
+whose normalizer is sqrt((E+m) 2E) on shell.  The transforms only ever read A
+in the G-complex form of ``clifford``, as a pair (Ap, K): the scalar
+Ap = (E+m)/nu, and the complex 2x2 matrix K = sum_j (p_j/nu) K_j through which
+the p_j ig^j ig0 term, anticommuting with ig0, acts on conj(z).  Each K_j is
+a constant, the G-complex reading of ig^j ig0.
 
 Discretization: periodic cubic grid, exactly dual momentum lattice
 p = 2 pi k / L with k in fft order {0..n/2-1, -n/2..-1}.  On an even grid the
 -n/2 wavenumber has no sine partner (sin(pi j) = 0 on the nodes), which would
 break discrete orthogonality for the matrix part of the kernel; the grid
-kernel therefore drops Nyquist-direction momentum components from A(p) and
-renormalizes.  With that adjustment discrete orthogonality and completeness
-are exact identities (round-off only), and the grid kernel coincides with the
-continuum kernel on all non-Nyquist modes.
+kernel therefore drops the Nyquist-direction components of p from the p_j
+term of A(p), keeping E, and the normalizer above adapts.  With that
+adjustment discrete orthogonality and completeness are exact identities
+(round-off only), and the grid kernel coincides with the continuum kernel on
+all non-Nyquist modes.
 
 The transforms never build the (n^3 x n^3) kernel or a per-mode rotor.  In
 the G-complex form of ``clifford`` every rotor DFT sum_x rotor(-+p.x) F(x) is
-one complex FFT.  Am acts antilinearly there and couples p to -p, so each
+one complex FFT.  K acts antilinearly and couples p to -p, so each
 direction is one FFT plus an index reversal; the space-time pair composes
 the spatial transform with the time rotor DFT of ``clifford``.
 
@@ -64,6 +70,8 @@ __all__ = [
 _G = _IG[0]                                  # ig0, the imaginary unit
 _IGS = np.stack(_IG[1:])                     # (3,4,4) spatial ig^j
 _SPACE = (-3, -2, -1)                        # spatial axes in G-complex form
+_KJ = _IGS @ _G                              # ig^j ig0 read in G-complex form:
+_KJ = _KJ[:, :2, :2] - 1j * _KJ[:, 2:, :2]   # (3,2,2), acting on conj(z)
 
 
 class DegenerateKernelError(ValueError):
@@ -77,10 +85,10 @@ def energy(p, m: float):
 
 
 def _mirror_half(grid, m: float, a: np.ndarray, s: int) -> np.ndarray:
-    """s K conj(a(-p)): Am of A = Ap + Am on the G-complex a.  Am anticommutes
-    with ig0, so it acts as K on conj; a(-p) is the index reversal k -> -k."""
+    """s K conj(a(-p)): the p_j ig^j ig0 part of A on the G-complex a, where
+    a(-p) is the index reversal k -> -k."""
     mirror = np.roll(np.flip(a, _SPACE), 1, _SPACE)
-    Km = np.einsum('ab...,b...->a...', grid._complex_tables(m)[1], np.conj(mirror, out=mirror))
+    Km = np.einsum('ab...,b...->a...', grid._tables(m)[1], np.conj(mirror, out=mirror))
     Km *= s
     return Km
 
@@ -89,11 +97,11 @@ def _kernel_sum(grid, m: float, values: np.ndarray, inverse: bool):
     """Unweighted sum_x O(p,x) Psi(x), or sum_p O^T(p,x) psi(p) if inverse,
     as one FFT of the G-complex 2-spinor over the last three grid axes.
 
-    O = rotor(-p.x) (Ap + Am); moving Am through the rotor flips p -> -p, so A
+    O = rotor(-p.x) A; moving the K part through the rotor flips p -> -p, so A
     acts as a -> Ap a + _mirror_half(a), with s = -1 on the inverse side as
     K(-p) = -K(p).
     """
-    Ap = grid._complex_tables(m)[0]
+    Ap = grid._tables(m)[0]
     z = _to_complex(values)
     if inverse:
         return _to_real(_rotor_dft(Ap * z + _mirror_half(grid, m, z, -1), _SPACE, +1))
@@ -101,11 +109,11 @@ def _kernel_sum(grid, m: float, values: np.ndarray, inverse: bool):
     return _to_real(Ap * z + _mirror_half(grid, m, z, 1))
 
 
-def _amplitude(p, m: float) -> np.ndarray:
-    """Continuum amplitude A(p) = ((E+m) I + p_j ig^j ig0)/sqrt((E+m) 2E)."""
+def _amplitude(p, E: float, m: float) -> np.ndarray:
+    """Amplitude A = ((E+m) I + p_j ig^j ig0)/sqrt((E+m)^2 + |p|^2); the
+    continuum A(p) at E = energy(p, m), the grid's at Nyquist-masked p."""
     p = np.asarray(p, dtype=float)
-    E = energy(p, m)
-    nu2 = (E + m) * 2.0 * E
+    nu2 = (E + m) ** 2 + p @ p
     if nu2 < 1e-24:
         raise DegenerateKernelError("kernel normalizer vanishes at m=0, p=0")
     return ((E + m) * _I4 + np.einsum('j,jab,bc->ac', p, _IGS, _G)) / np.sqrt(nu2)
@@ -119,14 +127,14 @@ def kernel_O(p, x, m: float) -> np.ndarray:
     """
     p = np.asarray(p, dtype=float)
     x = np.asarray(x, dtype=float)
-    return rotor(-float(p @ x)) @ _amplitude(p, m)
+    return rotor(-float(p @ x)) @ _amplitude(p, energy(p, m), m)
 
 
 class CartesianGrid:
     """Periodic cubic grid (n points per axis, box side L) and its dual lattice.
 
     Positions x_i = i dx with dx = L/n; momenta p = 2 pi k/L with integer k
-    per axis in fft order.  Kernel amplitude tables are cached per mass.
+    per axis in fft order.  Energies and kernel tables are cached per mass.
     """
 
     def __init__(self, n: int, L: float):
@@ -142,8 +150,7 @@ class CartesianGrid:
         self.kvecs = np.stack(np.meshgrid(self.ks, self.ks, self.ks, indexing='ij'), -1)
         self.P = 2 * np.pi * self.kvecs / self.L
         self._energies: dict[float, np.ndarray] = {}
-        self._tables: dict[float, tuple] = {}
-        self._ctables: dict[float, tuple] = {}
+        self._kernels: dict[float, tuple] = {}
 
     def energies(self, m: float) -> np.ndarray:
         """On-shell energies at every lattice momentum (cached, read-only)."""
@@ -157,52 +164,36 @@ class CartesianGrid:
         """Array index of integer wavenumber kvec (components in [-n/2, n/2))."""
         return tuple(int(k) % self.n for k in kvec)
 
-    def _kernel_tables(self, m: float):
-        """Grid-kernel split A = Ap I + Am with Nyquist components removed.
+    def _tables(self, m: float):
+        """The grid amplitude in G-complex form, from the Nyquist-masked p~.
 
-        Returns (Ap, Am, deg): Ap scalar (n,n,n), Am matrix (n,n,n,4,4) built
-        from the Nyquist-masked momentum, deg boolean mask of degenerate
-        (zeroed) modes — nonempty only for m = 0, where it marks p = 0.
+        Returns (Ap, K, deg): Ap = (E+m)/nu scalar (n,n,n), K = sum_j
+        (p~_j/nu) K_j complex (2,2,n,n,n), and deg the boolean mask of
+        degenerate (zeroed) modes, nonempty only for m = 0, where it marks p = 0.
         """
-        tab = self._tables.get(m)
+        tab = self._kernels.get(m)
         if tab is None:
             E = self.energies(m)
-            nyq = self.kvecs == -(self.n // 2)
-            pt = np.where(nyq, 0.0, self.P)
+            pt = np.where(self.kvecs == -(self.n // 2), 0.0, self.P)
             nu = np.sqrt((E + m) ** 2 + (pt ** 2).sum(-1))
             deg = nu < 1e-12
-            nu = np.where(deg, 1.0, nu)
-            Ap = (E + m) / nu
-            Am = np.einsum('xyzj,jab,bc->xyzac', pt, _IGS, _G) / nu[..., None, None]
-            Ap = np.where(deg, 0.0, Ap)
-            Am[deg] = 0.0
-            tab = (Ap, Am, deg)
-            self._tables[m] = tab
+            nu[deg] = np.inf                 # zeroes Ap and K there
+            K = np.einsum('jab,xyzj->abxyz', _KJ, pt / nu[..., None])
+            tab = ((E + m) / nu, K, deg)
+            self._kernels[m] = tab
         return tab
-
-    def _complex_tables(self, m: float):
-        """(Ap, K) for the G-complex form: Am anticommutes with ig0, so it
-        acts there as the complex 2x2 matrix K[a, b] (2, 2, n, n, n) on
-        conj(z), read off the first two columns of Am."""
-        if m not in self._ctables:
-            Ap, Am, _ = self._kernel_tables(m)
-            K = np.moveaxis(Am[..., :2, :2] - 1j * Am[..., 2:, :2], (-2, -1), (0, 1))
-            self._ctables[m] = (Ap, np.ascontiguousarray(K))
-        return self._ctables[m]
 
     def kernel(self, kvec, m: float, x) -> np.ndarray:
         """Discrete kernel O(p_k, x) used by the transforms (4x4 at one point).
 
-        Equal to kernel_O except on Nyquist modes, where the adjusted
-        amplitude keeps the discrete transform exactly unitary.
+        Equal to kernel_O except on Nyquist modes, where the amplitude drops
+        the Nyquist components of p to keep the discrete transform exactly
+        unitary.
         """
-        Ap, Am, deg = self._kernel_tables(m)
         idx = self.k_index(kvec)
-        if deg[idx]:
-            raise DegenerateKernelError("degenerate (zeroed) mode at m=0, p=0")
         p = self.P[idx]
-        A = Ap[idx] * _I4 + Am[idx]
-        return rotor(-float(p @ np.asarray(x, dtype=float))) @ A
+        pt = np.where(self.kvecs[idx] == -(self.n // 2), 0.0, p)
+        return rotor(-float(p @ np.asarray(x, dtype=float))) @ _amplitude(pt, energy(p, m), m)
 
 
 @dataclass
@@ -239,7 +230,7 @@ def forward(field: SpinorField) -> MomentumSpectrum:
     g, m = field.grid, field.mass
     vals = _kernel_sum(g, m, field.values, False) * g.dx ** 3
     return MomentumSpectrum(g, vals, m,
-                            zero_mode_dropped=bool(g._kernel_tables(m)[2].any()))
+                            zero_mode_dropped=bool(g._tables(m)[2].any()))
 
 
 def inverse(spec: MomentumSpectrum) -> SpinorField:
@@ -260,7 +251,7 @@ def evolved_densities(spec: MomentumSpectrum, times):
     inverse(evolve(spec, t)): ifftn(e^{-iEt} Ap a + e^{+iEt} n) / L^3."""
     g, m = spec.grid, spec.mass
     a, E = _to_complex(spec.values), g.energies(m)
-    Ap, n = g._complex_tables(m)[0], _mirror_half(g, m, a, -1)
+    Ap, n = g._tables(m)[0], _mirror_half(g, m, a, -1)
     ph, z = np.empty(E.shape, complex), np.empty_like(a)
     for t in times:
         np.exp(np.multiply(E, -1j * t, out=ph), out=ph)
@@ -284,7 +275,7 @@ def plane_wave(grid: CartesianGrid, kvec, m: float, chi, t: float = 0.0) -> Spin
     """
     p = 2 * np.pi * np.asarray(kvec, dtype=float) / grid.L
     E = energy(p, m)
-    A = _amplitude(p, m)
+    A = _amplitude(p, E, m)
     chi = np.asarray(chi, dtype=float)
     xs = grid.xs
     ph = p[0] * xs[:, None, None] + p[1] * xs[None, :, None] + p[2] * xs - E * t
@@ -371,12 +362,12 @@ def spacetime_forward(f4: SpacetimeField) -> SpacetimeSpectrum:
     g, m = f4.grid, f4.mass
     vals = time_rotor_forward(_kernel_sum(g, m, f4.values, False) * g.dx ** 3, f4.Lt)
     return SpacetimeSpectrum(g, f4.Lt, vals, m,
-                             zero_mode_dropped=bool(g._kernel_tables(m)[2].any()))
+                             zero_mode_dropped=bool(g._tables(m)[2].any()))
 
 
 def spacetime_inverse(s4: SpacetimeSpectrum) -> SpacetimeField:
     """Psi(x) = (1/(Lt L^3)) sum_p O^T(p, x) psi(p): the time rotor sum
-    first, so the spatial inverse's Am mirror reverses spatial momenta only."""
+    first, so the spatial inverse's K mirror reverses spatial momenta only."""
     g = s4.grid
     vals = _kernel_sum(g, s4.mass, time_rotor_inverse(s4.values, s4.Lt), True) / g.L ** 3
     return SpacetimeField(g, s4.Lt, vals, s4.mass)

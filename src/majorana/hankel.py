@@ -70,7 +70,8 @@ class AngularMode:
     mu: int
 
     def __post_init__(self):
-        if (not all(isinstance(v, (int, np.integer)) for v in (self.l, self.mu))
+        if (not all(isinstance(v, (int, np.integer)) and not isinstance(v, bool)
+                    for v in (self.l, self.mu))
                 or self.l < 1 or not (-self.l <= self.mu <= self.l - 1)):
             raise ValueError("need integers l >= 1 and -l <= mu <= l-1")
 
@@ -146,20 +147,19 @@ class SphericalField:
     values: np.ndarray
     mass: float
 
+    def _shell_norms(self) -> np.ndarray:
+        """Norm2 of each radial shell: the angular sum of |Psi|^2, times r^2 dr."""
+        g, v = self.grid, self.values
+        return np.einsum('rxya,rxya,xy->r', v, v, g.angular.weights) * g.wr
+
     def norm2(self) -> float:
-        g = self.grid
-        return float(np.einsum('rxya,rxya,r,xy->', self.values, self.values,
-                               g.wr, g.angular.weights))
+        return float(self._shell_norms().sum())
 
     def tail_fraction(self) -> float:
         """Norm2 fraction in the outermost radial shells (nr/64, at least one)."""
-        g = self.grid
-        shells = max(1, round(g.nr / 64))
-        v = self.values[-shells:]
-        tail = float(np.einsum('rxya,rxya,r,xy->', v, v, g.wr[-shells:],
-                               g.angular.weights))
-        total = self.norm2()
-        return tail / total if total > 0 else 0.0
+        norms = self._shell_norms()
+        tail, total = norms[-max(1, round(self.grid.nr / 64)):].sum(), norms.sum()
+        return float(tail / total) if total > 0 else 0.0
 
 
 @dataclass

@@ -217,13 +217,10 @@ def _fourier_suite(add, st, rng):
     g = fourier.CartesianGrid(st.n, st.L)
     half = st.n // 2
 
-    # kernel orthogonality: direct lattice sums over sampled (q,p) pairs
-    Ap, Am, deg = g._kernel_tables(m)
+    # kernel orthogonality: direct lattice sums over sampled (q,p) pairs, with
+    # the amplitude read pointwise as A(p) = O(p, 0)
     X, Y, Z = np.meshgrid(g.xs, g.xs, g.xs, indexing='ij')
-
-    def amat(kv):
-        idx = g.k_index(kv)
-        return Ap[idx] * np.eye(4) + Am[idx]
+    x0 = np.zeros(3)
 
     def phase(kv):
         p = 2 * pi * np.asarray(kv, dtype=float) / g.L
@@ -241,7 +238,7 @@ def _fourier_suite(add, st, rng):
     for q, p in pairs:
         if m == 0.0 and (q == (0, 0, 0) or p == (0, 0, 0)):
             continue
-        W = amat(q) @ amat(p)
+        W = g.kernel(q, m, x0) @ g.kernel(p, m, x0)
         Rq = fourier.rotor(-phase(q))
         Rp = fourier.rotor(phase(p))
         T = np.einsum('xyzab,bc,xyzcd->ad', Rq, W, Rp) * g.dx ** 3
@@ -255,10 +252,8 @@ def _fourier_suite(add, st, rng):
     # identity needs every mode present, so test it at a massive kernel
     g8 = fourier.CartesianGrid(8, st.L)
     mc = m if m > 0 else 1.0
-    Ap8, Am8, deg8 = g8._kernel_tables(mc)
-    keep = ~deg8.reshape(-1)
-    A8 = (Ap8[..., None, None] * np.eye(4) + Am8).reshape(-1, 4, 4)[keep]
-    P8 = g8.P.reshape(-1, 3)[keep]
+    A8 = np.array([g8.kernel(k, mc, x0) for k in g8.kvecs.reshape(-1, 3)])
+    P8 = g8.P.reshape(-1, 3)
     # A rotor(phi) A = cos(phi) A A + sin(phi) A ig0 A: two matmuls over all p
     AA = (A8 @ A8).reshape(-1, 16)
     AGA = (A8 @ clifford.IG[0] @ A8).reshape(-1, 16)

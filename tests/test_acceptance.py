@@ -120,9 +120,8 @@ def test_criterion_04_irreducibility():
 # --------------------------------------------------------------- criterion 5
 
 def _amat(g, kvec, m):
-    Ap, Am, _ = g._kernel_tables(m)
-    idx = g.k_index(kvec)
-    return Ap[idx] * np.eye(4) + Am[idx]
+    """The grid amplitude A(p) = O(p, 0)."""
+    return g.kernel(kvec, m, np.zeros(3))
 
 
 def _gram(g, q, p, m, mesh):
@@ -137,8 +136,13 @@ def _gram(g, q, p, m, mesh):
 
 def _completeness_err(g, m, iy):
     """Direct-sum completeness defect at one output point y = xs[iy]."""
-    Ap, Am, deg = g._kernel_tables(m)
-    A = (Ap[..., None, None] * np.eye(4) + Am).reshape(-1, 4, 4)
+    A = np.zeros((g.n ** 3, 4, 4))
+    dropped = False
+    for i, k in enumerate(g.kvecs.reshape(-1, 3)):
+        try:
+            A[i] = _amat(g, k, m)
+        except fourier.DegenerateKernelError:  # the transforms zero this mode
+            dropped = True
     B = np.einsum('pab,pbc->pac', A, A)
     C = np.einsum('pab,bc,pcd->pad', A, G, A)
     Pf = g.P.reshape(-1, 3)
@@ -155,7 +159,7 @@ def _completeness_err(g, m, iy):
     acc *= g.dx ** 3 / g.L ** 3
     tgt = np.zeros_like(acc)
     tgt[iy] = np.eye(4)
-    if deg.any():  # massless: the dropped p = 0 kernel is I in the limit
+    if dropped:  # massless: the dropped p = 0 kernel is I in the limit
         tgt -= (g.dx ** 3 / g.L ** 3) * np.eye(4)
     return np.abs(acc - tgt).max()
 

@@ -99,15 +99,18 @@ def test_evolve_deterministic(tmp_path):
     assert (od1 / "final.maj1").read_bytes() == (od2 / "final.maj1").read_bytes()
 
 
-def test_evolve_zero_steps_writes_initial_field(tmp_path):
-    doc = {"command": "evolve", "n": 8, "mass": 1.0, "time": {"steps": 0},
-           "output": {"formats": ["bin"]}}
+@pytest.mark.parametrize("domain", ["cartesian", "spherical"])
+def test_evolve_zero_steps_writes_initial_field(tmp_path, domain):
+    doc = {"command": "evolve", "n": 8} if domain == "cartesian" else dict(SMALL_SPH)
+    doc.update(command="evolve", mass=1.0, time={"steps": 0}, output={"formats": ["bin"]})
     code, od = run(tmp_path, "evolve", doc)
     assert code == 0
     cfg = cli.load_config(str(tmp_path / "evolve.json"), "evolve", None)
-    _, field0 = cli._initial_cartesian(cfg)
-    np.testing.assert_array_equal(fio.read_maj1(od / "final.maj1").values,
-                                  field0.values)
+    if domain == "cartesian":
+        field0, final = cli._initial_cartesian(cfg)[1], fio.read_maj1(od / "final.maj1")
+    else:
+        field0, final = cli._initial_spherical(cfg)[1], fio.read_majs(od / "final.majs")
+    np.testing.assert_array_equal(final.values, field0.values)
 
 
 def test_evolve_boosted_packet_tracks_group_velocity(tmp_path):
@@ -315,6 +318,7 @@ def test_run_config_defaults_are_the_only_defaults(tmp_path):
     dict(SMALL_SPH, command="evolve", initial={"l": 2, "mu": 0.5}),
     dict(SMALL_SPH, command="evolve", lmax=33),                # past the grid's caps
     dict(SMALL_SPH, command="evolve", np=2 ** 20 + 1),
+    dict(SMALL_SPH, command="evolve", initial={"l": True, "mu": False}),  # booleans
 ])
 def test_bad_configs_exit_2(tmp_path, doc):
     cfg = write_cfg(tmp_path, "bad.json", doc)

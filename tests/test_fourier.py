@@ -73,9 +73,8 @@ def test_grid_rejects_odd_or_tiny_n():
 # ------------------------------------------------------------ orthogonality
 
 def amat(g, kvec, m):
-    Ap, Am, _ = g._kernel_tables(m)
-    idx = g.k_index(kvec)
-    return Ap[idx] * np.eye(4) + Am[idx]
+    """The grid amplitude A(p) = O(p, 0)."""
+    return g.kernel(kvec, m, np.zeros(3))
 
 
 def kernel_gram(g, q, p, m):
@@ -108,9 +107,7 @@ def test_kernel_orthogonality_direct(m):
 def test_kernel_completeness_direct():
     g = fourier.CartesianGrid(4, 4.0)
     m = 1.0
-    Ap, Am, _ = g._kernel_tables(m)
-    A = Ap[..., None, None] * np.eye(4) + Am
-    Af = A.reshape(-1, 4, 4)
+    Af = np.array([amat(g, k, m) for k in g.kvecs.reshape(-1, 3)])
     Pf = g.P.reshape(-1, 3)
     X, Y, Z = np.meshgrid(g.xs, g.xs, g.xs, indexing='ij')
     iy = (1, 3, 0)
@@ -123,6 +120,28 @@ def test_kernel_completeness_direct():
     tgt = np.zeros_like(acc)
     tgt[iy] = np.eye(4)
     np.testing.assert_allclose(acc, tgt, atol=1e-12)
+
+
+@pytest.mark.parametrize("n", [4, 6])
+@pytest.mark.parametrize("m", [0.0, 1.0])
+def test_tables_are_the_g_complex_reading_of_the_kernel(n, m):
+    # every mode, Nyquist included: Ap = tr A / 4 and K = (A - Ap I)[:2, :2]
+    # - i (A - Ap I)[2:, :2], with A = O(p, 0) written out by _amplitude
+    g = fourier.CartesianGrid(n, 5.0)
+    Ap, K, deg = g._tables(m)
+    assert deg.sum() == (m == 0)
+    for idx in np.ndindex(n, n, n):
+        k = g.kvecs[idx]
+        if deg[idx]:
+            assert not k.any() and Ap[idx] == 0 and not K[(...,) + idx].any()
+            with pytest.raises(fourier.DegenerateKernelError):
+                amat(g, k, m)
+            continue
+        A = amat(g, k, m)
+        ap = np.trace(A) / 4
+        B = A - ap * np.eye(4)
+        assert abs(Ap[idx] - ap) <= 1e-15
+        assert np.abs(K[(...,) + idx] - (B[:2, :2] - 1j * B[2:, :2])).max() <= 1e-15
 
 
 # -------------------------------------------------------------- dense oracle
@@ -272,7 +291,7 @@ SPACE = (-3, -2, -1)
 def unsplit_kernel_sum(g, m, values, inverse):
     """The kernel sum as written before its amplitude was split into halves:
     the oracle the transforms must match bit for bit."""
-    Ap, K = g._complex_tables(m)
+    Ap, K, _ = g._tables(m)
     s = -1 if inverse else 1
 
     def amplitude(a):
