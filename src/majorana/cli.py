@@ -24,6 +24,14 @@ _THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 _TOP_KEYS = {"command", "mass", "domain", "n", "L", "nr", "rmax", "ntheta",
              "nphi", "lmax", "np", "np_points", "initial", "time", "output",
              "tolerances", "seed"}
+_TIME_KEYS, _OUTPUT_KEYS = {"steps", "dt"}, {"formats", "directory"}
+# the initial keys each (domain, type) reads
+_INITIAL_KEYS = {
+    ("cartesian", "gaussian"): {"type", "spinor", "center", "width", "boost"},
+    ("cartesian", "single-mode"): {"type", "spinor", "p"},
+    ("spherical", "gaussian"): {"type", "spinor", "l", "mu", "center", "width", "boost"},
+    ("spherical", "single-mode"): {"type", "spinor", "l", "mu", "p"},
+}
 
 
 class ConfigError(Exception):
@@ -66,6 +74,12 @@ class RunConfig:
     seed: int = 1234
 
 
+def _reject_unknown(raw: dict, known, what: str) -> None:
+    unknown = set(raw) - set(known)
+    if unknown:
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+
+
 def _as_float(raw: dict, key: str, default: float, lo=None) -> float:
     v = raw.get(key, default)
     try:
@@ -99,9 +113,7 @@ def load_config(path: str, command: str, out_override: str | None) -> RunConfig:
         raise ConfigError(f"config is not valid JSON: {e}")
     if not isinstance(raw, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+    _reject_unknown(raw, _TOP_KEYS, "config keys")
 
     if "command" in raw and raw["command"] != command:
         raise ConfigError(f"config command {raw['command']!r} does not match "
@@ -128,9 +140,11 @@ def load_config(path: str, command: str, out_override: str | None) -> RunConfig:
     tdict = raw.get("time", {})
     if not isinstance(tdict, dict):
         raise ConfigError("time must be an object with steps/dt")
+    _reject_unknown(tdict, _TIME_KEYS, "time keys")
     odict = raw.get("output", {})
     if not isinstance(odict, dict):
         raise ConfigError("output must be an object")
+    _reject_unknown(odict, _OUTPUT_KEYS, "output keys")
     formats = odict.get("formats", list(RunConfig.formats))
     if (not isinstance(formats, list) or not formats
             or any(f not in ("csv", "bin") for f in formats)):
@@ -143,6 +157,9 @@ def load_config(path: str, command: str, out_override: str | None) -> RunConfig:
     if not isinstance(tol, dict):
         raise ConfigError("tolerances must be an object of test-id -> number")
     tol = {k: _as_float(tol, k, 0.0) for k in tol}
+    if tol:
+        from .verify import CHECK_IDS
+        _reject_unknown(tol, CHECK_IDS, "tolerances ids (no such check)")
 
     cfg = RunConfig(
         command=command,
@@ -250,14 +267,23 @@ def _initial_value(ini: dict, key: str, default, shape: tuple, what: str):
     return v
 
 
+def _initial_kind(cfg: RunConfig) -> str:
+    """initial.type, once initial holds only keys that type reads."""
+    kind = cfg.initial.get("type", "gaussian")
+    known = _INITIAL_KEYS.get((cfg.domain, kind)) if isinstance(kind, str) else None
+    if known is None:
+        raise ConfigError(f"unknown initial.type {kind!r}")
+    _reject_unknown(cfg.initial, known, "initial keys")
+    return kind
+
+
 def _initial_cartesian(cfg: RunConfig):
     import numpy as np
 
     from . import fourier
 
     grid = fourier.CartesianGrid(cfg.n, cfg.L)
-    ini = cfg.initial
-    kind = ini.get("type", "gaussian")
+    ini, kind = cfg.initial, _initial_kind(cfg)
     chi = _initial_value(ini, "spinor", [1.0, 0.0, 0.0, 0.0], (4,), "a 4-vector")
     if kind == "gaussian":
         center = _initial_value(ini, "center", [cfg.L / 2] * 3, (3,), "a 3-vector")
@@ -278,16 +304,14 @@ def _initial_cartesian(cfg: RunConfig):
         env = np.exp(-((X - center[0]) ** 2 + (Y - center[1]) ** 2
                        + (Z - center[2]) ** 2) / (2 * width ** 2))
         return grid, fourier.SpinorField(grid, env[..., None] * chi, cfg.mass)
-    if kind == "single-mode":
-        kvec = ini.get("p")
-        if (not isinstance(kvec, list) or len(kvec) != 3
-                or any(isinstance(v, bool) or not isinstance(v, int) for v in kvec)):
-            raise ConfigError("cartesian single-mode initial.p must be 3 integers")
-        if any(not -cfg.n // 2 < v < cfg.n // 2 for v in kvec):
-            raise ConfigError(f"initial.p components must lie in "
-                              f"({-cfg.n // 2}, {cfg.n // 2}) (Nyquist excluded)")
-        return grid, fourier.plane_wave(grid, kvec, cfg.mass, chi)
-    raise ConfigError(f"unknown initial.type {kind!r}")
+    kvec = ini.get("p")   # single-mode
+    if (not isinstance(kvec, list) or len(kvec) != 3
+            or any(isinstance(v, bool) or not isinstance(v, int) for v in kvec)):
+        raise ConfigError("cartesian single-mode initial.p must be 3 integers")
+    if any(not -cfg.n // 2 < v < cfg.n // 2 for v in kvec):
+        raise ConfigError(f"initial.p components must lie in "
+                          f"({-cfg.n // 2}, {cfg.n // 2}) (Nyquist excluded)")
+    return grid, fourier.plane_wave(grid, kvec, cfg.mass, chi)
 
 
 def _initial_spherical(cfg: RunConfig):
@@ -297,8 +321,7 @@ def _initial_spherical(cfg: RunConfig):
 
     grid = hankel.SphericalGrid(cfg.nr, cfg.rmax, cfg.ntheta, cfg.nphi,
                                 cfg.lmax, cfg.np_points)
-    ini = cfg.initial
-    kind = ini.get("type", "gaussian")
+    ini, kind = cfg.initial, _initial_kind(cfg)
     chi = _initial_value(ini, "spinor", [1.0, 0.0, 0.0, 0.0], (4,), "a 4-vector")
     l = ini.get("l", 1)
     mu = ini.get("mu", 0)
@@ -321,19 +344,17 @@ def _initial_spherical(cfg: RunConfig):
         base = np.einsum('xyab,b->xya', grid.omega(mode), chi)
         vals = env[:, None, None, None] * base[None]
         return grid, hankel.SphericalField(grid, vals, cfg.mass), None, {}
-    if kind == "single-mode":
-        p = float(_initial_value(ini, "p", None, (),
-                                 "a number for a spherical single mode"))
-        if not 0 < p <= grid.pmax:
-            raise ConfigError(f"initial.p must lie in (0, {grid.pmax:.6g}]")
-        kp = int(np.clip(round(p / grid.dp - 0.5), 0, grid.np_points - 1))
-        co = np.zeros((grid.np_points, len(grid.modes), 4))
-        co[kp, grid.mode_index[tuple(mode)]] = chi
-        spec = hankel.HankelSpectrum(grid, co, cfg.mass)
-        # the summary records the momentum node the requested p snapped to
-        snap = {"initial_p_requested": p, "initial_p_node": float(grid.p[kp])}
-        return grid, hankel.inverse_hankel(spec), spec, snap
-    raise ConfigError(f"unknown initial.type {kind!r}")
+    p = float(_initial_value(ini, "p", None, (),   # single-mode
+                             "a number for a spherical single mode"))
+    if not 0 < p <= grid.pmax:
+        raise ConfigError(f"initial.p must lie in (0, {grid.pmax:.6g}]")
+    kp = int(np.clip(round(p / grid.dp - 0.5), 0, grid.np_points - 1))
+    co = np.zeros((grid.np_points, len(grid.modes), 4))
+    co[kp, grid.mode_index[tuple(mode)]] = chi
+    spec = hankel.HankelSpectrum(grid, co, cfg.mass)
+    # the summary records the momentum node the requested p snapped to
+    snap = {"initial_p_requested": p, "initial_p_node": float(grid.p[kp])}
+    return grid, hankel.inverse_hankel(spec), spec, snap
 
 
 # -------------------------------------------------------------------- evolve

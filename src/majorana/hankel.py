@@ -15,12 +15,12 @@ Lambda^T Psi; inverse weight dp (E+m)/(E pi) per momentum node.  The
 identity ig^r Omega_{l,mu} = (-1)^mu Omega_{l,-mu-1} ig5 turns the ig^r
 terms into couplings with the partner mode (l, -mu-1), so both directions
 factorize into an angular stage and a radial one; no kernel is built.  The
-angular stage applies Omega = sum w Y_{l'm'} M (spherical._omega_terms) as
-a phi sum with e^{i m' phi} in G-complex form, a theta sum with the table
-N P_l'^m'(cos theta), then the map of the M onto modes in real form (the M
-do not commute with ig0).  Per l, the radial stage is two Bessel matmuls
-(j_l, j_{l-1}) and one spinor structure (_l_block).  The inverse applies
-both stages transposed, in reverse order.
+angular stage applies Omega = sum w Y_{l'm'} M (spherical._omega_terms) in
+real form, Y_{l'm'} = N P_l'^m'(cos theta) rotor(m' phi): a phi sum that is one
+matmul with a table of rotor(m' phi), a theta sum with N P_l'^m'(cos theta),
+then the map of the M onto modes.  Per l, the radial stage is two Bessel
+matmuls (j_l, j_{l-1}) and one spinor structure (_l_block).  The inverse
+applies both stages transposed, in reverse order; both take any leading axes.
 
 Discretization: midpoint radial nodes r_i = (i+1/2) dr on (0, rmax) and
 midpoint momentum nodes on (0, pmax) with pmax = pi nr / rmax; both stay
@@ -36,8 +36,8 @@ from math import pi
 
 import numpy as np
 
-from .clifford import (IG, IG5, PROJ_DN, PROJ_UP, _to_complex, _to_real, rotate,
-                       time_rotor_forward, time_rotor_inverse)
+from .clifford import (IG, IG5, PROJ_DN, PROJ_UP, rotate, rotor, time_rotor_forward,
+                       time_rotor_inverse)
 from .spherical import (AngularGrid, _omega_terms, angular_modes, assoc_legendre,
                         gamma_r, omega_matrix, sph_jn_table, sph_norm)
 
@@ -111,14 +111,15 @@ class SphericalGrid:
         self.angular = AngularGrid(ntheta, nphi)
         self.modes = angular_modes(lmax)
         self.mode_index = {m: i for i, m in enumerate(self.modes)}
-        # the angular stage: _y[l', m'+lmax, theta] (zero where |m'| > l'),
-        # _E[phi, m'+lmax] = e^{i m' phi} and _W[mode, :, l', m'+lmax, :] = sum w M^T
+        # the angular stage: _y[l', m'+lmax, theta] (zero where |m'| > l'), _R[(phi, b),
+        # (m'+lmax, a)] = rotor(m' phi)[b, a] and _W[mode, :, l', m'+lmax, :] = sum w M^T
         ms = np.arange(-lmax, lmax + 1)
         self._y = np.zeros((lmax + 1, ms.size, ntheta))
         for l in range(lmax + 1):
             for m in range(-l, l + 1):
                 self._y[l, m + lmax] = sph_norm(l, m) * assoc_legendre(l, m, self.angular.x)
-        self._E = np.exp(1j * np.multiply.outer(self.angular.phi, ms))
+        R = rotor(np.multiply.outer(self.angular.phi, ms))
+        self._R = R.transpose(0, 2, 1, 3).reshape(4 * self.angular.nphi, 4 * ms.size)
         self._W = np.zeros((len(self.modes), 4, lmax + 1, ms.size, 4))
         for i, mode in enumerate(self.modes):
             for w, lp, mp, M in _omega_terms(*mode):
@@ -142,15 +143,15 @@ class SphericalGrid:
 
 @dataclass
 class SphericalField:
-    """Spinor samples on a SphericalGrid; values shape (nr, ntheta, nphi, 4)."""
+    """Spinor samples on a SphericalGrid; values shape (..., nr, ntheta, nphi, 4)."""
     grid: SphericalGrid
     values: np.ndarray
     mass: float
 
     def _shell_norms(self) -> np.ndarray:
-        """Norm2 of each radial shell: the angular sum of |Psi|^2, times r^2 dr."""
-        g, v = self.grid, self.values
-        return np.einsum('rxya,rxya,xy->r', v, v, g.angular.weights) * g.wr
+        """Norm2 of each radial shell, summed over leading axes: sum |Psi|^2 dOmega r^2 dr."""
+        g, v = self.grid, self.values.reshape((-1,) + self.values.shape[-4:])
+        return np.einsum('trxya,trxya,xy->r', v, v, g.angular.weights) * g.wr
 
     def norm2(self) -> float:
         return float(self._shell_norms().sum())
@@ -164,7 +165,7 @@ class SphericalField:
 
 @dataclass
 class HankelSpectrum:
-    """Mode amplitudes psi(p_k, l, mu); values shape (np_points, nmodes, 4)."""
+    """Mode amplitudes psi(p_k, l, mu); values shape (..., np_points, nmodes, 4)."""
     grid: SphericalGrid
     values: np.ndarray
     mass: float
@@ -175,8 +176,7 @@ class HankelSpectrum:
         return self.grid.dp * (E + self.mass) / (E * pi)
 
     def norm2(self) -> float:
-        return float(np.einsum('pma,pma,p->', self.values, self.values,
-                               self.p_weights()))
+        return float(np.einsum('...pma,...pma,p->', self.values, self.values, self.p_weights()))
 
 
 def _kernel_factors(p: float, mode, r, theta, phi, m: float):
@@ -236,15 +236,16 @@ def forward_hankel(field: SphericalField) -> HankelSpectrum:
                       "radial truncation error may dominate", stacklevel=2)
     m = field.mass
     p, Em = g.p[:, None], (g.energies(m) - m)[:, None]
-    z = _to_complex(field.values) @ g._E.conj()
-    b = _to_real(np.einsum('lmx,crxm->crlm', g._y * g.angular.weights[:, 0], z))
-    a = np.einsum('malnb,rlnb->rma', g._W, b, optimize=True) * g.wr[:, None, None]
-    out = np.empty((g.np_points, len(g.modes), 4))
+    v = field.values
+    z = (v.reshape(v.shape[:-2] + (-1,)) @ g._R).reshape(v.shape[:-2] + (-1, 4))
+    b = np.einsum('lmx,...xma->...lma', g._y * g.angular.weights[:, 0], z)
+    a = np.einsum('malnb,...lnb->...ma', g._W, b, optimize=True) * g.wr[:, None, None]
+    out = np.empty(a.shape[:-3] + (g.np_points, len(g.modes), 4))
     for l in range(1, g.lmax + 1):
         blk, D, C = _l_block(l)
-        b = a[:, blk].reshape(g.nr, -1)
-        Z = np.hstack([g.jt[l] @ b, g.jt[l - 1] @ b])
-        out[:, blk] = (p * (Z @ D.T) + Em * (Z @ C.T)).reshape(g.np_points, -1, 4)
+        b = a[..., blk, :].reshape(a.shape[:-2] + (-1,))
+        Z = np.concatenate([g.jt[l] @ b, g.jt[l - 1] @ b], axis=-1)
+        out[..., blk, :] = (p * (Z @ D.T) + Em * (Z @ C.T)).reshape(out[..., blk, :].shape)
     return HankelSpectrum(g, out, m)
 
 
@@ -252,15 +253,17 @@ def inverse_hankel(spec: HankelSpectrum) -> SphericalField:
     """Psi(r,theta,phi) = sum_{l,mu} integral dp (E+m)/(E pi) Lambda psi(p,l,mu)."""
     g, m, wp = spec.grid, spec.mass, spec.p_weights()[:, None]
     p, Em = wp * g.p[:, None], wp * (g.energies(m) - m)[:, None]
-    cr = np.empty((g.nr, len(g.modes), 4))
+    v = spec.values
+    cr = np.empty(v.shape[:-3] + (g.nr, len(g.modes), 4))
     for l in range(1, g.lmax + 1):
         blk, D, C = _l_block(l)
-        z = spec.values[:, blk].reshape(g.np_points, -1)
-        X, Y = np.hsplit(p * (z @ D) + Em * (z @ C), 2)
-        cr[:, blk] = (g.jt[l].T @ X + g.jt[l - 1].T @ Y).reshape(g.nr, -1, 4)
-    c = _to_complex(np.einsum('malnb,rma->rlnb', g._W, cr, optimize=True))
-    vals = _to_real(np.einsum('lmx,crlm->crxm', g._y, c) @ g._E.T)
-    return SphericalField(g, vals, m)
+        z = v[..., blk, :].reshape(v.shape[:-3] + (g.np_points, -1))
+        X, Y = np.split(p * (z @ D) + Em * (z @ C), 2, axis=-1)
+        cr[..., blk, :] = (g.jt[l].T @ X + g.jt[l - 1].T @ Y).reshape(cr[..., blk, :].shape)
+    c = np.einsum('malnb,...ma->...lnb', g._W, cr, optimize=True)
+    d = np.einsum('lmx,...lma->...xma', g._y, c)
+    vals = d.reshape(d.shape[:-2] + (-1,)) @ g._R.T   # sum_m' rotor(m' phi) d
+    return SphericalField(g, vals.reshape(d.shape[:-2] + (-1, 4)), m)
 
 
 def evolve_hankel(spec: HankelSpectrum, t: float) -> HankelSpectrum:
@@ -351,15 +354,12 @@ class SpacetimeHankelSpectrum:
 
 def spacetime_hankel_forward(f: SpacetimeSphericalField) -> SpacetimeHankelSpectrum:
     """psi(p0, p, l, mu) = sum_t rotor(+p0 t) psi(t, p, l, mu) dt after the
-    spatial forward on each time slice."""
-    slices = np.stack([forward_hankel(SphericalField(f.grid, f.values[i], f.mass)).values
-                       for i in range(f.values.shape[0])])
-    return SpacetimeHankelSpectrum(f.grid, f.Lt,
-                                   time_rotor_forward(slices, f.Lt), f.mass)
+    spatial forward, with time as its leading axis."""
+    psi = forward_hankel(SphericalField(f.grid, f.values, f.mass)).values
+    return SpacetimeHankelSpectrum(f.grid, f.Lt, time_rotor_forward(psi, f.Lt), f.mass)
 
 
 def spacetime_hankel_inverse(s: SpacetimeHankelSpectrum) -> SpacetimeSphericalField:
     u = time_rotor_inverse(s.values, s.Lt)
-    slices = np.stack([inverse_hankel(HankelSpectrum(s.grid, u[i], s.mass)).values
-                       for i in range(u.shape[0])])
-    return SpacetimeSphericalField(s.grid, s.Lt, slices, s.mass)
+    vals = inverse_hankel(HankelSpectrum(s.grid, u, s.mass)).values
+    return SpacetimeSphericalField(s.grid, s.Lt, vals, s.mass)

@@ -60,7 +60,7 @@ def write_maj1(path, obj) -> None:
         fh.write(_MAGIC_CART)
         fh.write(np.array([1, len(dims), *dims], dtype=_U32).tobytes())
         fh.write(np.array([*boxes, obj.mass], dtype=_F64).tobytes())
-        fh.write(np.ascontiguousarray(obj.values, dtype=_F64).tobytes())
+        np.ascontiguousarray(obj.values, dtype=_F64).tofile(fh)   # no bytes copy
 
 
 def _read(fh, count: int, dtype, what: str) -> np.ndarray:
@@ -124,7 +124,7 @@ def write_majs(path, field: SphericalField) -> None:
                            g.np_points], dtype=_U32).tobytes())
         fh.write(np.array([g.rmax, field.mass], dtype=_F64).tobytes())
         for a in (g.r, g.angular.x, g.angular.phi, field.values):
-            fh.write(np.ascontiguousarray(a, dtype=_F64).tobytes())
+            np.ascontiguousarray(a, dtype=_F64).tofile(fh)
 
 
 def read_majs(path, lmax: int | None = None,

@@ -20,7 +20,24 @@ import numpy as np
 
 from . import clifford, fourier, hankel, lorentz, spherical
 
-__all__ = ["CheckResult", "VerifyReport", "VerifySettings", "run_suite"]
+__all__ = ["CHECK_IDS", "CheckResult", "VerifyReport", "VerifySettings", "run_suite"]
+
+# every check run_suite reports, in its order; a tolerance override must name one
+CHECK_IDS = (
+    "clifford.anticommutators", "clifford.traces", "clifford.determinants", "clifford.gram",
+    "clifford.symmetry-split", "clifford.group-closure",
+    "lorentz.homomorphism", "lorentz.metric", "lorentz.double-cover", "lorentz.coset-table",
+    "lorentz.polar", "lorentz.intertwiner", "lorentz.commutant", "lorentz.commutant-rotations",
+    "fourier.orthogonality", "fourier.completeness", "fourier.roundtrip", "fourier.parseval",
+    "fourier.single-mode", "fourier.massless", "fourier.evolve-norm", "fourier.projection",
+    "fourier.electron-phase", "fourier.spacetime-roundtrip", "fourier.time-orthogonality",
+    "angular.legendre", "angular.Y-orthonormality", "angular.Y-dphi", "angular.spin-algebra",
+    "angular.L3-eigen", "angular.L2-eigen", "angular.omega-orthonormality",
+    "angular.omega-relations",
+    "hankel.bessel-ode", "hankel.eigen-relation", "hankel.single-mode-leakage",
+    "hankel.roundtrip", "hankel.inner-products", "hankel.massless-roundtrip",
+    "hankel.evolve-norm", "hankel.spacetime-roundtrip",
+)
 
 
 @dataclass

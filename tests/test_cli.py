@@ -293,7 +293,7 @@ def test_run_config_defaults_are_the_only_defaults(tmp_path):
     {"command": "evolve", "masss": 1.0},                      # unknown key
     {"command": "evolve", "n": 7},                            # odd n
     {"command": "evolve", "np": 8, "np_points": 8, "nr": 48}, # duplicate key
-    {"command": "verify", "n": 8},                            # command mismatch
+    {"command": "evolve", "n": 8, "time": {"stepz": 3, "dt": 0.1}},  # nested typo
     {"command": "evolve", "n": 8, "nr": 48},                  # ambiguous domain
     {"command": "evolve", "n": 8, "output": {"formats": ["hdf5"]}},
     {"command": "evolve", "n": 8, "mass": -1.0},
@@ -319,11 +319,39 @@ def test_run_config_defaults_are_the_only_defaults(tmp_path):
     dict(SMALL_SPH, command="evolve", lmax=33),                # past the grid's caps
     dict(SMALL_SPH, command="evolve", np=2 ** 20 + 1),
     dict(SMALL_SPH, command="evolve", initial={"l": True, "mu": False}),  # booleans
+    # unknown nested keys: time, output, initial (per domain and type), tolerances
+    {"command": "evolve", "n": 8, "time": {"stepz": 3, "dt": 0.1},
+     "initial": {"widht": 0.5}, "output": {"formatz": ["bin"]}},
+    {"command": "evolve", "n": 8, "initial": {"widht": 0.5}},
+    {"command": "evolve", "n": 8, "output": {"formatz": ["bin"]}},
+    {"command": "transform", "n": 8,
+     "initial": {"type": "single-mode", "p": [1, 0, 0], "width": 1.0}},
+    dict(SMALL_SPH, command="transform", initial={"l": 2, "mu": 0, "p": 1.0}),
+    {"command": "transform", "n": 8, "initial": {"type": ["gaussian"]}},
+    dict(SMALL_SPH, command="spectrum",
+         initial={"type": "single-mode", "p": 1.0, "center": 3.0}),
+    {"command": "spectrum", "n": 8, "initial": {"l": 1}},     # spherical-only key
+    {"command": "spectrum", "n": 8, "output": {"directory": "o", "format": ["csv"]}},
+    {"command": "verify", "n": 8, "tolerances": {"fourier.roundtripp": 0.0}},
+    {"command": "verify", "n": 8, "time": {"dt": 0.1, "step": 3}},
+    {"command": "verify", "n": 8, "output": {"dir": "o"}},
 ])
 def test_bad_configs_exit_2(tmp_path, doc):
+    # each case runs as its own command, so only the fault it carries rejects it
     cfg = write_cfg(tmp_path, "bad.json", doc)
-    assert cli.main(["evolve", "--config", cfg, "--out",
+    assert cli.main([doc["command"], "--config", cfg, "--out",
                      str(tmp_path / "o"), "--quiet"]) == 2
+
+
+def test_config_command_mismatch_exits_2(tmp_path):
+    cfg = write_cfg(tmp_path, "v.json", {"command": "verify", "n": 8})
+    assert cli.main(["evolve", "--config", cfg, "--out", str(tmp_path / "o"),
+                     "--quiet"]) == 2
+
+
+def test_spherical_gaussian_accepts_null_boost(tmp_path):
+    doc = dict(SMALL_SPH, command="spectrum", initial={"l": 2, "mu": -1, "boost": None})
+    assert run(tmp_path, "spectrum", doc)[0] == 0
 
 
 def strict_json(path):
@@ -367,11 +395,15 @@ SPH = st.fixed_dictionaries(
     {"nr": st.integers(8, 16), "rmax": st.floats(4.0, 20.0),
      "ntheta": st.sampled_from([4, 6]), "nphi": st.sampled_from([4, 8]),
      "lmax": st.integers(1, 2), "np": st.integers(2, 16),
-     "initial": st.fixed_dictionaries(
-         {"type": st.sampled_from(["gaussian", "single-mode"]),
-          "spinor": st.lists(UNIT, min_size=4, max_size=4),
-          "center": st.floats(0.5, 10.0), "width": st.floats(0.3, 4.0),
-          "p": st.floats(0.1, 3.0), "l": st.just(1), "mu": st.integers(-1, 0)})})
+     "initial": st.one_of(
+         st.fixed_dictionaries(
+             {"type": st.just("gaussian"), "spinor": st.lists(UNIT, min_size=4, max_size=4),
+              "center": st.floats(0.5, 10.0), "width": st.floats(0.3, 4.0),
+              "l": st.just(1), "mu": st.integers(-1, 0)}),
+         st.fixed_dictionaries(
+             {"type": st.just("single-mode"),
+              "spinor": st.lists(UNIT, min_size=4, max_size=4),
+              "p": st.floats(0.1, 3.0), "l": st.just(1), "mu": st.integers(-1, 0)}))})
 # non-finite, zero, negative and overflowing numbers, and wrong types
 HOSTILE = st.sampled_from([NAN, INF, -INF, 0.0, -1.0, -2.5, 1e200, -1e200,
                            "x", None, True, [], {}, [1.0], 1.5])

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy.special import spherical_jn
 
-from majorana import hankel
+from majorana import clifford, hankel, spherical
 
 RNG = np.random.default_rng(11)
 CHI = RNG.standard_normal(4)
@@ -145,6 +145,42 @@ def test_transforms_match_dense_kernel_quadrature(m):
         assert np.abs(got - inv).max() <= 1e-13 * np.abs(inv).max()
 
 
+ALIASED = (16, 8.0, 6, 8, 5, 12)    # lmax >= nphi/2: rotor(m' phi) aliases on the nodes
+
+
+def test_rotor_table_matches_pointwise_harmonics():
+    # _y[l', m'](theta) rotor(m' phi) is majorana_Y(l', m', theta, phi) on the grid
+    for args in [(48, 16.0, 12, 24, 2, 48), ALIASED]:
+        g = hankel.SphericalGrid(*args)
+        th, ph = g.angular.theta[:, None], g.angular.phi[None, :]
+        R = g._R.reshape(g.angular.nphi, 4, -1, 4)          # [phi, b, m', a]
+        for l in range(g.lmax + 1):
+            for m in range(-l, l + 1):
+                got = np.einsum('x,ybz->xybz', g._y[l, m + g.lmax], R[:, :, m + g.lmax])
+                want = spherical.majorana_Y(l, m, th, ph)
+                assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max(), (l, m)
+
+
+@pytest.mark.filterwarnings("ignore:field tail")
+@pytest.mark.parametrize("args", [(48, 16.0, 12, 24, 2, 48), ALIASED])
+def test_transforms_take_leading_axes(args):
+    # five stacked fields (spectra) transform as five separate ones, and the
+    # inverse returns C-contiguous values
+    g = hankel.SphericalGrid(*args)
+    rng = np.random.default_rng(8)
+    Psi = rng.standard_normal((5, g.nr, g.angular.ntheta, g.angular.nphi, 4))
+    psi = rng.standard_normal((5, g.np_points, len(g.modes), 4))
+    fwd = hankel.forward_hankel(hankel.SphericalField(g, Psi, 1.0)).values
+    inv = hankel.inverse_hankel(hankel.HankelSpectrum(g, psi, 1.0)).values
+    assert inv.flags.c_contiguous and fwd.flags.c_contiguous
+    for i in range(5):
+        one = hankel.forward_hankel(hankel.SphericalField(g, Psi[i], 1.0)).values
+        assert np.abs(fwd[i] - one).max() <= 1e-14 * np.abs(one).max()
+        one = hankel.inverse_hankel(hankel.HankelSpectrum(g, psi[i], 1.0)).values
+        assert one.flags.c_contiguous
+        assert np.abs(inv[i] - one).max() <= 1e-14 * np.abs(one).max()
+
+
 def test_parseval(grid):
     Psi = gaussian_field(grid)
     co = hankel.forward_hankel(Psi)
@@ -252,3 +288,24 @@ def test_spacetime_roundtrip():
     f = hankel.SpacetimeSphericalField(g, 3.0, vals, 1.0)
     back = hankel.spacetime_hankel_inverse(hankel.spacetime_hankel_forward(f))
     assert np.abs(back.values - vals).max() < 1e-7 * np.abs(vals).max()
+
+
+@pytest.mark.filterwarnings("ignore:field tail")
+def test_spacetime_pair_matches_per_slice_loop():
+    # oracle: the spatial transform slice by slice, then the time rotor DFT
+    g = hankel.SphericalGrid(48, 16.0, 12, 24, 2, 48)
+    rng = np.random.default_rng(4)
+    f = hankel.SpacetimeSphericalField(
+        g, 3.0, rng.standard_normal((6, g.nr, g.angular.ntheta, g.angular.nphi, 4)), 1.0)
+    s = hankel.SpacetimeHankelSpectrum(
+        g, 3.0, rng.standard_normal((6, g.np_points, len(g.modes), 4)), 1.0)
+    slices = np.stack([hankel.forward_hankel(hankel.SphericalField(g, v, 1.0)).values
+                       for v in f.values])
+    want = clifford.time_rotor_forward(slices, 3.0)
+    got = hankel.spacetime_hankel_forward(f).values
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+    u = clifford.time_rotor_inverse(s.values, 3.0)
+    want = np.stack([hankel.inverse_hankel(hankel.HankelSpectrum(g, x, 1.0)).values
+                     for x in u])
+    got = hankel.spacetime_hankel_inverse(s).values
+    assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()

@@ -1,6 +1,7 @@
 """Serialization round trips and format validation."""
 
 import itertools
+import struct
 
 import numpy as np
 import pytest
@@ -137,6 +138,33 @@ def test_majs_roundtrip_exact(tmp_path):
     assert (back.grid.nr, back.grid.rmax) == (16, 8.0)
     assert back.grid.lmax == 2 and back.grid.np_points == 16
     np.testing.assert_array_equal(back.values, f.values)
+
+
+@pytest.mark.parametrize("strided", [False, True])
+def test_binary_writers_match_an_independent_packing(tmp_path, strided):
+    # the writers stream the values' buffer; their bytes equal a struct header
+    # plus tobytes, for C-contiguous values and for a transposed view
+    rng = np.random.default_rng(3)
+
+    def values(shape):
+        v = rng.standard_normal(shape[::-1]).T if strided else rng.standard_normal(shape)
+        assert v.flags.c_contiguous is not strided
+        return v
+
+    n, L, m = 4, 3.0, 0.5
+    f = fourier.SpinorField(fourier.CartesianGrid(n, L), values((n, n, n, 4)), m)
+    io.write_maj1(tmp_path / "f.maj1", f)
+    want = (b"MAJ1" + struct.pack('<5I', 1, 3, n, n, n) + struct.pack('<4d', L, L, L, m)
+            + f.values.astype('<f8').tobytes())
+    assert (tmp_path / "f.maj1").read_bytes() == want
+
+    g = hankel.SphericalGrid(16, 8.0, 6, 12, 2, 20)
+    s = hankel.SphericalField(g, values((16, 6, 12, 4)), m)
+    io.write_majs(tmp_path / "f.majs", s)
+    want = (b"MAJS" + struct.pack('<6I', 2, 16, 6, 12, 2, 20) + struct.pack('<2d', 8.0, m)
+            + b"".join(a.astype('<f8').tobytes()
+                       for a in (g.r, g.angular.x, g.angular.phi, s.values)))
+    assert (tmp_path / "f.majs").read_bytes() == want
 
 
 def test_majs_bad_magic_and_truncation(tmp_path):

@@ -26,6 +26,7 @@ def test_check_ids_unique_and_namespaced(report):
     assert len(set(ids)) == len(ids)
     prefixes = {i.split('.')[0] for i in ids}
     assert prefixes == {"clifford", "lorentz", "fourier", "angular", "hankel"}
+    assert ids == list(verify.CHECK_IDS)   # the ids a tolerance override may name
 
 
 def test_report_json_roundtrip(report):
