@@ -420,7 +420,6 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
             rows.append((k, k * cfg.dt, cur.norm2(), energy))
         drift = _rel(np.abs(np.array([r[2] for r in rows]) - norm0).max(), norm0)
         header = "step,t,norm,energy"
-        fld = hankel.inverse_hankel(cur) if cfg.steps else field0
         summary = {
             "domain": "spherical", "steps": cfg.steps, "dt": cfg.dt,
             "tail_fraction": field0.tail_fraction(), **snap,
@@ -428,6 +427,11 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
             "energy_expectation": energy,
             "passed": drift <= 1e-12,
         }
+        if cfg.steps:   # free the initial field before the inverse allocates the final one
+            del field0
+            fld = hankel.inverse_hankel(cur)
+        else:
+            fld = field0
 
     _write_fields(cfg, out, final=fld)
     fio.write_frames_csv(out / "frames.csv", header, rows)

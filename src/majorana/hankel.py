@@ -51,7 +51,6 @@ __all__ = [
     "forward_hankel",
     "inverse_hankel",
     "evolve_hankel",
-    "dirac_apply",
     "eigen_relation_residual",
     "SpacetimeSphericalField",
     "SpacetimeHankelSpectrum",
@@ -273,8 +272,8 @@ def evolve_hankel(spec: HankelSpectrum, t: float) -> HankelSpectrum:
 
 
 # ----------------------------------------------------------------------------
-# grid Dirac operator (diagnostics): H = ig0 (i dslash - m) with
-# i dslash = ig^r (d_r - sigma.L / r); 6th-order radial stencil.
+# grid Dirac operator (diagnostics): i dslash = ig^r (d_r - sigma.L / r);
+# 6th-order radial stencil.
 
 _C6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
 
@@ -297,19 +296,6 @@ def _spatial_slash(grid: SphericalGrid, values: np.ndarray) -> np.ndarray:
     inner = _dr6(values, grid.dr) - np.moveaxis(sl, -1, 0)
     igr = gamma_r(grid.angular.theta[:, None], grid.angular.phi[None, :])
     return (igr @ inner.reshape(inner.shape[:4] + (-1,))).reshape(inner.shape)
-
-
-def dirac_apply(field: SphericalField) -> SphericalField:
-    """Hamiltonian action H Psi = ig0 (i dslash - m) Psi (d_t Psi = H Psi).
-
-    The three radial cells at each boundary are zeroed (stencil support);
-    compare on the interior.
-    """
-    ids = _spatial_slash(field.grid, field.values)
-    out = (ids - field.mass * field.values) @ _G.T
-    out[:3] = 0.0
-    out[-3:] = 0.0
-    return SphericalField(field.grid, out, field.mass)
 
 
 def eigen_relation_residual(grid: SphericalGrid, p: float, mode, m: float) -> float:

@@ -240,31 +240,33 @@ def omega_matrix(l: int, mu: int, theta, phi) -> np.ndarray:
 def sph_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
     """Spherical Bessel functions j_l(x) for l = 0..lmax, vectorized in x.
 
-    Three regimes per point: a power series for x < 1e-3, upward recurrence
-    for x >= max(l, 1) (stable there), and Miller's downward recurrence with
-    normalization against j_0 (or j_1 near zeros of j_0) otherwise.  An
-    overflow guard rescales the downward sweep when entries exceed 1e250.
+    Three regimes, each run only on the points that use it, into one output
+    table: upward recurrence everywhere (stable for x >= max(l, 1)), Miller's
+    downward recurrence with normalization against j_0 (or j_1 near zeros of
+    j_0) on the entries with 1e-3 <= x < max(l, 1), and a power series for
+    x < 1e-3.  An overflow guard rescales the downward sweep when entries
+    exceed 1e250.
     """
     x = np.asarray(x, dtype=float)
     if lmax < 0:
         raise ValueError("lmax must be >= 0")
-    shape = (lmax + 1,) + x.shape
+    shape, x = x.shape, x.ravel()
     small = x < 1e-3
-    xs = np.where(small, 1.0, x)   # avoid 0/0 in the generic formulas
-
-    up = np.empty(shape)
-    up[0] = np.sin(xs) / xs
+    xs = np.where(small, 1.0, x)   # avoid 0/0 in the upward recurrence
+    out = np.empty((lmax + 1, x.size))
+    out[0] = np.sin(xs) / xs
     if lmax >= 1:
-        up[1] = np.sin(xs) / xs ** 2 - np.cos(xs) / xs
+        out[1] = np.sin(xs) / xs ** 2 - np.cos(xs) / xs
     for l in range(2, lmax + 1):
-        up[l] = (2 * l - 1) / xs * up[l - 1] - up[l - 2]
+        out[l] = (2 * l - 1) / xs * out[l - 1] - out[l - 2]
 
-    start = lmax + 20
-    jp = np.zeros_like(x)
-    jc = np.full_like(x, 1e-30)
-    down = np.empty(shape)
-    for n in range(start, 0, -1):
-        jm = (2 * n + 1) / xs * jc - jp
+    idx = np.flatnonzero(~small & (x < max(lmax, 1)))   # points with a downward entry
+    xm = x[idx]
+    jp = np.zeros_like(xm)
+    jc = np.full_like(xm, 1e-30)
+    down = np.empty((lmax + 1, idx.size))
+    for n in range(lmax + 20, 0, -1):
+        jm = (2 * n + 1) / xm * jc - jp
         if n - 1 <= lmax:
             down[n - 1] = jm
         jp, jc = jc, jm
@@ -277,19 +279,16 @@ def sph_jn_table(lmax: int, x: np.ndarray) -> np.ndarray:
                 down[n - 1:] *= sc
     # normalize against j0, or j1 where j0 is near a zero
     with np.errstate(invalid='ignore', divide='ignore'):
-        use1 = (np.abs(up[0]) < 1e-3 / np.maximum(xs, 1.0)) if lmax >= 1 else np.zeros_like(x, bool)
-        scale0 = up[0] / down[0]
+        scale = out[0, idx] / down[0]
         if lmax >= 1:
-            scale1 = up[1] / down[1]
-            scale = np.where(use1, scale1, scale0)
-        else:
-            scale = scale0
-    down = down * scale
+            use1 = np.abs(out[0, idx]) < 1e-3 / np.maximum(xm, 1.0)
+            scale = np.where(use1, out[1, idx] / down[1], scale)
+    for l in range(lmax + 1):
+        lo = xm < max(l, 1)
+        out[l, idx[lo]] = down[l, lo] * scale[lo]
 
-    lg = np.arange(lmax + 1).reshape((lmax + 1,) + (1,) * x.ndim)
-    out = np.where(x >= np.maximum(lg, 1.0), up, down)
+    xsm = x[small]
     for l in range(lmax + 1):
         dfac = np.prod(np.arange(1, 2 * l + 2, 2), dtype=float)   # (2l+1)!!
-        series = x ** l / dfac * (1.0 - x * x / (2.0 * (2 * l + 3)))
-        out[l] = np.where(small, series, out[l])
-    return out
+        out[l, small] = xsm ** l / dfac * (1.0 - xsm * xsm / (2.0 * (2 * l + 3)))
+    return out.reshape((lmax + 1,) + shape)

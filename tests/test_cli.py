@@ -187,6 +187,33 @@ def test_evolve_spherical(tmp_path):
     assert (od / "final.majs").exists()
 
 
+def per_step_spherical(cfg):
+    """A spherical evolve's frame norms, final field and tail fraction, with
+    one evolve_hankel per frame and one inverse of the last: its reference."""
+    _, field0, spec0, _ = cli._initial_spherical(cfg)
+    if spec0 is None:
+        spec0 = hankel.forward_hankel(field0)
+    norms = [(hankel.evolve_hankel(spec0, k * cfg.dt) if k else spec0).norm2()
+             for k in range(cfg.steps + 1)]
+    final = hankel.inverse_hankel(hankel.evolve_hankel(spec0, cfg.steps * cfg.dt))
+    return norms, final, field0.tail_fraction()
+
+
+@pytest.mark.parametrize("initial", [{"type": "gaussian", "l": 2, "mu": -1},
+                                     {"type": "single-mode", "l": 2, "mu": -1, "p": 1.0}])
+def test_spherical_evolve_matches_the_per_step_loop(tmp_path, initial):
+    doc = dict(SMALL_SPH, command="evolve", mass=1.0, initial=initial,
+               time={"steps": 10, "dt": 0.1}, output={"formats": ["csv", "bin"]})
+    code, od = run(tmp_path, "evolve", doc)
+    assert code == 0
+    norms, final, tail = per_step_spherical(
+        cli.load_config(str(tmp_path / "evolve.json"), "evolve", None))
+    got = np.loadtxt(od / "frames.csv", delimiter=",", skiprows=1)
+    np.testing.assert_array_equal(got[:, 2], norms)
+    np.testing.assert_array_equal(fio.read_majs(od / "final.majs").values, final.values)
+    assert load_summary(od)["tail_fraction"] == tail
+
+
 @pytest.mark.filterwarnings("ignore:field tail")  # delta spectra do not decay
 @pytest.mark.parametrize("command", ["evolve", "transform"])
 def test_spherical_single_mode_records_snapped_p(tmp_path, capsys, command):

@@ -269,14 +269,6 @@ def test_spatial_slash_trailing_axes_match_columns(grid):
     np.testing.assert_allclose(got, ref, rtol=0, atol=1e-13 * np.abs(ref).max())
 
 
-def test_dirac_apply_zeroes_stencil_boundary(grid):
-    Psi = gaussian_field(grid)
-    out = hankel.dirac_apply(Psi)
-    assert out.values[3:-3].any()  # interior nonzero
-    np.testing.assert_array_equal(out.values[:3], 0.0)
-    np.testing.assert_array_equal(out.values[-3:], 0.0)
-
-
 # ----------------------------------------------------------------- spacetime
 
 def test_spacetime_roundtrip():

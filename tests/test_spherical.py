@@ -1,10 +1,12 @@
 """Angular layer: Legendre/harmonics against scipy, quadrature, Omega algebra."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from scipy.special import lpmv, spherical_jn, sph_harm_y
 
-from majorana import clifford, spherical
+from majorana import clifford, hankel, spherical
 
 RNG = np.random.default_rng(11)
 G = clifford.build_canonical_rep().gamma0
@@ -227,8 +229,11 @@ def test_omega_matrix_rejects_out_of_range_mu():
 # ------------------------------------------------------------------- bessel
 
 def test_sph_jn_table_against_scipy():
+    # the regime edges: the series below 1e-3, Miller's sweep below max(l, 1)
+    edges = np.array([1e-3, 1.0, *range(2, 9)])
     x = np.concatenate([np.geomspace(1e-6, 1e-3, 10),
-                        np.linspace(0.01, 40.0, 200)])
+                        np.linspace(0.01, 40.0, 200),
+                        edges, np.nextafter(edges, 0.0)])
     jt = spherical.sph_jn_table(8, x)
     for l in range(9):
         np.testing.assert_allclose(jt[l], spherical_jn(l, x),
@@ -251,3 +256,23 @@ def test_sph_jn_table_2d_argument():
     assert jt.shape == (4, 2, 7)
     np.testing.assert_allclose(jt[2], spherical_jn(2, np.multiply.outer(p, r)),
                                atol=1e-13)
+
+
+def test_sph_jn_table_0d_and_empty_arguments():
+    jt = spherical.sph_jn_table(3, 2.5)
+    assert jt.shape == (4,)
+    np.testing.assert_allclose(jt, spherical_jn(np.arange(4), 2.5), atol=1e-13)
+    assert spherical.sph_jn_table(3, np.array([])).shape == (4, 0)
+
+
+def test_sph_jn_table_peak_memory_is_bounded_by_the_table():
+    # each regime runs only on its points: no full-size temporary tables
+    g = hankel.SphericalGrid(256, 40.0, 32, 64, 5, 256)
+    x = np.multiply.outer(g.p, g.r)
+    tracemalloc.start()
+    try:
+        jt = spherical.sph_jn_table(5, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * jt.nbytes
