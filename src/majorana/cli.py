@@ -212,6 +212,13 @@ def _rel(err, ref) -> float:
     return float(err / ref) if ref != 0 else float(err)
 
 
+def _absmax(a) -> float:
+    """max |a| with no |a| temporary; a NaN entry gives NaN."""
+    import numpy as np
+
+    return abs(float(np.maximum(a.max(), -a.min())))
+
+
 def _write_fields(cfg: RunConfig, out: Path, **fields) -> None:
     """<name>.maj1 or .majs and <name>.csv per field, as output.formats asks."""
     from . import io as fio
@@ -409,27 +416,31 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
         grid, field0, spec, snap = _initial_spherical(cfg)
         if spec is None:
             spec = hankel.forward_hankel(field0)
+            tail = spec.tail_fraction
+        else:
+            tail = field0.tail_fraction()
         E = grid.energies(cfg.mass)
         pw = spec.p_weights()
         w = np.einsum('pma,pma,p->p', spec.values, spec.values, pw)
         wtot = w.sum()
         energy = float((E * w).sum() / wtot) if wtot > 0 else 0.0
         norm0 = spec.norm2()
-        for k in range(cfg.steps + 1):
-            cur = hankel.evolve_hankel(spec, k * cfg.dt) if k else spec
-            rows.append((k, k * cfg.dt, cur.norm2(), energy))
+        times = [k * cfg.dt for k in range(cfg.steps + 1)]
+        rows.append((0, times[0], norm0, energy))
+        for k, norm2 in enumerate(hankel.evolved_norms(spec, times[1:]), 1):
+            rows.append((k, times[k], norm2, energy))
         drift = _rel(np.abs(np.array([r[2] for r in rows]) - norm0).max(), norm0)
         header = "step,t,norm,energy"
         summary = {
             "domain": "spherical", "steps": cfg.steps, "dt": cfg.dt,
-            "tail_fraction": field0.tail_fraction(), **snap,
+            "tail_fraction": tail, **snap,
             "norm_initial": norm0, "max_norm_drift_rel": drift,
             "energy_expectation": energy,
             "passed": drift <= 1e-12,
         }
         if cfg.steps:   # free the initial field before the inverse allocates the final one
             del field0
-            fld = hankel.inverse_hankel(cur)
+            fld = hankel.inverse_hankel(hankel.evolve_hankel(spec, times[-1]))
         else:
             fld = field0
 
@@ -457,13 +468,13 @@ def _cmd_transform(cfg: RunConfig, quiet: bool) -> int:
         recon = fourier.inverse(spec)
         if cfg.mass > 0:
             diff = recon.values - field0.values
-            max_rel = _rel(np.abs(diff).max(), np.abs(field0.values).max())
+            max_rel = _rel(_absmax(diff), _absmax(field0.values))
             l2_rel = np.sqrt(_rel((diff ** 2).sum(), (field0.values ** 2).sum()))
         else:
             # p = 0 is dropped at m = 0: compare on the invariant subspace
             spec2 = fourier.forward(recon)
-            max_rel = _rel(np.abs(spec2.values - spec.values).max(),
-                           np.abs(spec.values).max())
+            diff = np.subtract(spec2.values, spec.values, out=spec2.values)
+            max_rel = _rel(_absmax(diff), _absmax(spec.values))
             l2_rel = max_rel
         parseval = _rel(abs(spec.norm2() - recon.norm2()), recon.norm2())
         threshold = 1e-9
@@ -481,12 +492,12 @@ def _cmd_transform(cfg: RunConfig, quiet: bool) -> int:
         recon = hankel.inverse_hankel(spec)
         diff = hankel.SphericalField(grid, recon.values - field0.values, cfg.mass)
         l2_rel = np.sqrt(_rel(diff.norm2(), field0.norm2()))
-        max_rel = _rel(np.abs(diff.values).max(), np.abs(field0.values).max())
+        max_rel = _rel(_absmax(diff.values), _absmax(field0.values))
         threshold = 1e-4
         fio.write_hankel_csv(out / "spectrum.csv", spec)
         summary = {
             "domain": "spherical", "mass": cfg.mass,
-            "tail_fraction": field0.tail_fraction(), **snap,
+            "tail_fraction": spec.tail_fraction, **snap,
             "max_error_rel": float(max_rel), "l2_error_rel": float(l2_rel),
             "threshold": threshold,
             "passed": bool(l2_rel <= threshold),
@@ -542,7 +553,7 @@ def _cmd_spectrum(cfg: RunConfig, quiet: bool) -> int:
         "dominant_single_mode": bool(peak_fraction > 0.5),
     }
     if cfg.domain == "spherical":
-        summary.update(tail_fraction=field0.tail_fraction(), **snap)
+        summary.update(tail_fraction=spec.tail_fraction, **snap)
     _write_json(out / "summary.json", summary)
     if not quiet:
         print(f"peak mode {peak_mode} carries {peak_fraction:.4f} of norm^2; "

@@ -17,10 +17,11 @@ terms into couplings with the partner mode (l, -mu-1), so both directions
 factorize into an angular stage and a radial one; no kernel is built.  The
 angular stage applies Omega = sum w Y_{l'm'} M (spherical._omega_terms) in
 real form, Y_{l'm'} = N P_l'^m'(cos theta) rotor(m' phi): a phi sum that is one
-matmul with a table of rotor(m' phi), a theta sum with N P_l'^m'(cos theta),
-then the map of the M onto modes.  Per l, the radial stage is two Bessel
-matmuls (j_l, j_{l-1}) and one spinor structure (_l_block).  The inverse
-applies both stages transposed, in reverse order; both take any leading axes.
+matmul with a table of rotor(m' phi), laid out with m' outermost so that the
+theta sum with N P_l'^m'(cos theta) is one matmul per m', then the map of the
+M onto modes.  Per l, the radial stage is two Bessel matmuls (j_l, j_{l-1})
+and one spinor structure (_l_block).  The inverse applies both stages
+transposed, in reverse order; both take any leading axes.
 
 Discretization: midpoint radial nodes r_i = (i+1/2) dr on (0, rmax) and
 midpoint momentum nodes on (0, pmax) with pmax = pi nr / rmax; both stay
@@ -31,13 +32,13 @@ delta(p - p') maps to delta_kk' / dp.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field as _field, replace
 from math import pi
 
 import numpy as np
 
-from .clifford import (IG, IG5, PROJ_DN, PROJ_UP, rotate, rotor, time_rotor_forward,
-                       time_rotor_inverse)
+from .clifford import (IG, IG5, PROJ_DN, PROJ_UP, _to_complex, _to_real, rotor,
+                       time_rotor_forward, time_rotor_inverse)
 from .spherical import (AngularGrid, _omega_terms, angular_modes, assoc_legendre,
                         gamma_r, omega_matrix, sph_jn_table, sph_norm)
 
@@ -51,6 +52,7 @@ __all__ = [
     "forward_hankel",
     "inverse_hankel",
     "evolve_hankel",
+    "evolved_norms",
     "eigen_relation_residual",
     "SpacetimeSphericalField",
     "SpacetimeHankelSpectrum",
@@ -164,10 +166,15 @@ class SphericalField:
 
 @dataclass
 class HankelSpectrum:
-    """Mode amplitudes psi(p_k, l, mu); values shape (..., np_points, nmodes, 4)."""
+    """Mode amplitudes psi(p_k, l, mu); values shape (..., np_points, nmodes, 4).
+
+    tail_fraction is that of the field forward_hankel transformed (None for a
+    spectrum made any other way), so callers need not scan the field again.
+    """
     grid: SphericalGrid
     values: np.ndarray
     mass: float
+    tail_fraction: float | None = _field(default=None, init=False, compare=False)
 
     def p_weights(self) -> np.ndarray:
         """Inverse-transform momentum weights dp (E+m)/(E pi)."""
@@ -175,7 +182,14 @@ class HankelSpectrum:
         return self.grid.dp * (E + self.mass) / (E * pi)
 
     def norm2(self) -> float:
-        return float(np.einsum('...pma,...pma,p->', self.values, self.values, self.p_weights()))
+        return _norm2(_to_complex(self.values), self.p_weights())
+
+
+def _norm2(z: np.ndarray, w: np.ndarray) -> float:
+    """sum_p w_p |z|^2 of a G-complex spectrum z (2, ..., np_points, nmodes),
+    read as floats: one sum of squares per p, then one dot with the weights."""
+    f = z.view(float).reshape(-1, w.size, 2 * z.shape[-1])
+    return float(np.einsum('cpk,cpk->p', f, f) @ w)
 
 
 def _kernel_factors(p: float, mode, r, theta, phi, m: float):
@@ -230,22 +244,32 @@ def forward_hankel(field: SphericalField) -> HankelSpectrum:
     """psi(p,l,mu) = integral r^2 dr dOmega Lambda^T(p,l,mu) Psi; warns when the
     field carries weight near rmax, before which the quadrature assumes decay."""
     g = field.grid
-    if field.tail_fraction() > TAIL_LIMIT:
+    tail = field.tail_fraction()
+    if tail > TAIL_LIMIT:
         warnings.warn("field tail at rmax exceeds 1e-8 of norm^2; "
                       "radial truncation error may dominate", stacklevel=2)
     m = field.mass
     p, Em = g.p[:, None], (g.energies(m) - m)[:, None]
     v = field.values
-    z = (v.reshape(v.shape[:-2] + (-1,)) @ g._R).reshape(v.shape[:-2] + (-1, 4))
-    b = np.einsum('lmx,...xma->...lma', g._y * g.angular.weights[:, 0], z)
-    a = np.einsum('malnb,...lnb->...ma', g._W, b, optimize=True) * g.wr[:, None, None]
+    nm, nth = g._y.shape[1:]
+    # phi sum as z^T = R^T v^T: rows (m', a), so each m' is one (a, ..., r) x theta block
+    zT = (g._R.T @ v.reshape(-1, 4 * v.shape[-2]).T).reshape(nm, -1, nth)
+    yw = g._y * g.angular.weights[:, 0]
+    b = np.empty(zT.shape[:2] + (g.lmax + 1,))
+    for k in range(nm):
+        np.matmul(zT[k], yw[:, k].T, out=b[k])
+    del zT   # before the radial stage, which may build jt
+    a = np.einsum('malnb,nbkl->kma', g._W, b.reshape(nm, 4, -1, g.lmax + 1), optimize=True)
+    a = a.reshape(v.shape[:-3] + a.shape[1:]) * g.wr[:, None, None]
     out = np.empty(a.shape[:-3] + (g.np_points, len(g.modes), 4))
     for l in range(1, g.lmax + 1):
         blk, D, C = _l_block(l)
         b = a[..., blk, :].reshape(a.shape[:-2] + (-1,))
         Z = np.concatenate([g.jt[l] @ b, g.jt[l - 1] @ b], axis=-1)
         out[..., blk, :] = (p * (Z @ D.T) + Em * (Z @ C.T)).reshape(out[..., blk, :].shape)
-    return HankelSpectrum(g, out, m)
+    spec = HankelSpectrum(g, out, m)
+    spec.tail_fraction = tail
+    return spec
 
 
 def inverse_hankel(spec: HankelSpectrum) -> SphericalField:
@@ -259,16 +283,33 @@ def inverse_hankel(spec: HankelSpectrum) -> SphericalField:
         z = v[..., blk, :].reshape(v.shape[:-3] + (g.np_points, -1))
         X, Y = np.split(p * (z @ D) + Em * (z @ C), 2, axis=-1)
         cr[..., blk, :] = (g.jt[l].T @ X + g.jt[l - 1].T @ Y).reshape(cr[..., blk, :].shape)
-    c = np.einsum('malnb,...ma->...lnb', g._W, cr, optimize=True)
-    d = np.einsum('lmx,...lma->...xma', g._y, c)
-    vals = d.reshape(d.shape[:-2] + (-1,)) @ g._R.T   # sum_m' rotor(m' phi) d
-    return SphericalField(g, vals.reshape(d.shape[:-2] + (-1, 4)), m)
+    nm, nth = g._y.shape[1:]
+    c = np.einsum('malnb,kma->nbkl', g._W, cr.reshape((-1,) + cr.shape[-2:]), optimize=True)
+    c = c.reshape(nm, -1, g.lmax + 1)
+    dT = np.empty(c.shape[:2] + (nth,))
+    for k in range(nm):
+        np.matmul(c[k], g._y[:, k], out=dT[k])
+    vals = dT.reshape(4 * nm, -1).T @ g._R.T   # sum_m' rotor(m' phi) d
+    return SphericalField(g, vals.reshape(cr.shape[:-2] + (nth, -1, 4)), m)
 
 
 def evolve_hankel(spec: HankelSpectrum, t: float) -> HankelSpectrum:
-    """Per-mode rotor evolution psi(p,l,mu) -> rotor(-E_p t) psi(p,l,mu)."""
-    ang = -spec.grid.energies(spec.mass) * t
-    return replace(spec, values=rotate(ang[:, None], spec.values))
+    """Per-mode rotor evolution psi(p,l,mu) -> rotor(-E_p t) psi(p,l,mu): the
+    phase e^{-iE_p t} on the G-complex form."""
+    z = _to_complex(spec.values)
+    np.multiply(z, np.exp(spec.grid.energies(spec.mass) * (-1j * t))[:, None], out=z)
+    return replace(spec, values=_to_real(z))
+
+
+def evolved_norms(spec: HankelSpectrum, times):
+    """For each t, yield evolve_hankel(spec, t).norm2(): one phase on one
+    G-complex copy of the spectrum, then the weighted norm."""
+    E, w = spec.grid.energies(spec.mass), spec.p_weights()
+    z = _to_complex(spec.values)
+    ph, buf = np.empty(E.shape, complex), np.empty_like(z)
+    for t in times:
+        np.exp(np.multiply(E, -1j * t, out=ph), out=ph)
+        yield _norm2(np.multiply(z, ph[:, None], out=buf), w)
 
 
 # ----------------------------------------------------------------------------

@@ -275,6 +275,34 @@ def test_transform_respects_formats_csv_only(tmp_path):
     assert not (od / "input.maj1").exists()
 
 
+def test_absmax_is_max_abs():
+    rng = np.random.default_rng(4)
+    for a in [np.array([0.5, -3.0, 2.0]), np.array([[-0.0, 0.0]]), rng.standard_normal(50)]:
+        assert cli._absmax(a) == np.abs(a).max()
+        assert math.copysign(1.0, cli._absmax(a)) == 1.0
+    assert math.isnan(cli._absmax(np.array([1.0, NAN, -2.0])))
+
+
+@pytest.mark.parametrize("domain", ["cartesian", "spherical"])
+def test_transform_nan_in_reconstruction_fails(tmp_path, monkeypatch, domain):
+    # one NaN sample in the reconstruction must fail the round trip and be
+    # written as null, not drop out of max_error_rel
+    mod, name = (fourier, "inverse") if domain == "cartesian" else (hankel, "inverse_hankel")
+    exact = getattr(mod, name)
+
+    def poisoned(spec):
+        fld = exact(spec)
+        fld.values[(1,) * fld.values.ndim] = NAN
+        return fld
+    monkeypatch.setattr(mod, name, poisoned)
+    doc = ({"command": "transform", "n": 8, "mass": 1.0} if domain == "cartesian"
+           else dict(SMALL_SPH, command="transform", mass=1.0))
+    code, od = run(tmp_path, "transform", doc)
+    assert code == 1
+    s = strict_json(od / "summary.json")
+    assert s["passed"] is False and s["max_error_rel"] is None
+
+
 # ------------------------------------------------------------------ spectrum
 
 def test_spectrum_single_mode_is_sparse(tmp_path):

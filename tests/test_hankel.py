@@ -1,5 +1,6 @@
 """Radial-spherical transform layer: kernels, round trips, eigen relation."""
 
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -216,6 +217,40 @@ def test_no_tail_warning_for_decayed_field_on_coarse_grid():
         hankel.forward_hankel(Psi)
 
 
+@pytest.mark.filterwarnings("ignore:field tail")
+def test_forward_records_the_field_tail(grid):
+    # the spectrum carries the tail fraction the warning was decided on;
+    # a spectrum made another way, evolved ones included, has none
+    for env in (np.exp(-((grid.r - 4.0) / 0.8) ** 2), np.exp(-((grid.r - grid.rmax) / 2.0) ** 2)):
+        base = np.einsum('xyab,b->xya', grid.omega(grid.modes[0]), CHI)
+        Psi = hankel.SphericalField(grid, env[:, None, None, None] * base[None], 1.0)
+        spec = hankel.forward_hankel(Psi)
+        assert spec.tail_fraction == Psi.tail_fraction()
+        assert hankel.evolve_hankel(spec, 0.5).tail_fraction is None
+
+
+@pytest.mark.filterwarnings("ignore:field tail")   # a random field fills every shell
+def test_transforms_peak_memory_has_no_full_size_angular_temporary():
+    # the theta stage runs one m' at a time on the phi stage's output, so
+    # neither direction holds more than twice that (r, theta, m', a) block
+    # beyond the field it returns
+    g = hankel.SphericalGrid(256, 40.0, 32, 64, 5, 256)
+    Psi = hankel.SphericalField(g, RNG.standard_normal((256, 32, 64, 4)), 1.0)
+    block = g.nr * g.angular.ntheta * (2 * g.lmax + 1) * 4 * 8
+    g.jt   # cached on the grid: not a transform temporary
+    tracemalloc.start()
+    try:
+        spec = hankel.forward_hankel(Psi)
+        fwd_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        back = hankel.inverse_hankel(spec)
+        inv_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fwd_peak <= 2 * block
+    assert inv_peak <= back.values.nbytes + 2 * block
+
+
 # ------------------------------------------------------- dynamics and Dirac
 
 def test_evolve_preserves_norm(grid):
@@ -228,6 +263,32 @@ def test_evolve_preserves_norm(grid):
     for _ in range(200):
         cur = hankel.evolve_hankel(cur, 0.03)
     assert abs(cur.norm2() - n0) <= 1e-12 * n0
+
+
+@pytest.mark.parametrize("m", [1.0, 0.0])
+def test_evolve_hankel_is_the_rotor_on_each_mode(grid, m):
+    # the phase e^{-iE t} on the G-complex form is rotor(-E t) on each spinor
+    vals = RNG.standard_normal((grid.np_points, len(grid.modes), 4))
+    spec = hankel.HankelSpectrum(grid, vals, m)
+    E = grid.energies(m)
+    for t in (0.37, -2.5):
+        want = clifford.rotate((-E * t)[:, None], vals)
+        got = hankel.evolve_hankel(spec, t).values
+        assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_evolved_norms_equal_per_step_norms(grid):
+    # each frame's norm is evolve_hankel(spec, t).norm2() bit for bit, with
+    # or without a leading axis; norm2 is the p-weighted sum of squares
+    times = [0.0, -0.7, 0.05, 3.0]
+    for lead in [(), (3,)]:
+        vals = RNG.standard_normal(lead + (grid.np_points, len(grid.modes), 4))
+        spec = hankel.HankelSpectrum(grid, vals, 1.3)
+        want = [hankel.evolve_hankel(spec, t).norm2() for t in times]
+        assert list(hankel.evolved_norms(spec, times)) == want
+        assert want[0] == spec.norm2()
+        ref = ((vals ** 2).sum((-2, -1)) @ spec.p_weights()).sum()
+        assert abs(spec.norm2() - ref) <= 1e-14 * ref
 
 
 @pytest.mark.parametrize("p,mode", [(1.0, (1, 0)), (0.9, (2, 1)), (1.0, (2, -2))])
