@@ -11,20 +11,24 @@ np_points.
 CSV exports carry one row per grid point: coordinate columns (x,y,z or
 x0..x3 or r,theta,phi), then psi0..psi3; mode spectra use p,l,mu,psi0..psi3.
 Every float is written as format(v, '.17g') would write it, so identical
-inputs give byte-identical files.  The CSV writer is a block formatter: each
-1-d axis is formatted once, and each slab of at most _SLAB_ROWS rows is one
-'%'-template call with the coordinates in place; no file is held whole.
+inputs give byte-identical files.  The CSV writer formats in numpy, exactly,
+with no per-float string call: each 1-d axis is formatted once, and each slab
+of at most _SLAB_ROWS rows is laid out as zero-padded bytes in one reused
+buffer, whose zero bytes are dropped on write; no file is held whole.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .fourier import CartesianGrid, MomentumSpectrum, SpacetimeField, SpinorField
-from .hankel import HankelSpectrum, SphericalField, SphericalGrid
+
+if TYPE_CHECKING:   # hankel loads in read_majs only, so cartesian runs never import it
+    from .hankel import HankelSpectrum, SphericalField
 
 __all__ = [
     "FormatError",
@@ -132,6 +136,8 @@ def read_majs(path, lmax: int | None = None,
     """Read a MAJS file.  lmax/np_points set the transform side of the grid:
     version 2 stores them, and a value given here must agree; version 1 does
     not, so they default to 5 and nr."""
+    from .hankel import SphericalField, SphericalGrid
+
     with open(path, 'rb') as fh:
         if fh.read(4) != _MAGIC_SPH:
             raise FormatError("bad magic (expected MAJS)")
@@ -163,26 +169,173 @@ def read_majs(path, lmax: int | None = None,
     return SphericalField(grid, values, float(mass))
 
 
-_SLAB_ROWS = 1024   # rows per formatting call, unless the last axis is longer
+_SLAB_ROWS = 256    # rows formatted and written per slab
+
+# The formatter writes each float as format(v, '.17g') does.  A finite v != 0
+# is f * 2**e with 0.5 <= f < 1.  With X0 = floor(log10(2**(e-1))), the product
+# v * 10**(16 - X0) lies in [1e16, 2e17); rounded, it is the 17 significant
+# digits D, or ten times them if it reaches 1e17 (decimal exponent X0 + 1).
+# The scale 2**e * 10**(16 - X0) is a double-double h1 + h2 + lo built from
+# exact ints, and Dekker's product f * (h1 + h2) is exact, so the product's
+# fraction is known to about 1e-13.  Non-finite values, and values within 1e-9
+# of a rounding tie, are formatted one by one.  A value's text is laid out in
+# a 48-byte field of six little-endian words: '-0.000', a pad byte and d0; four
+# words 'P d P d P d P d' with the points P0..P15 before the digits d1..d16;
+# 'e+ddd', the separator and two pad bytes.  The layout for the value's class,
+# digit count nz and sign keeps the bytes its text uses and zeroes the rest,
+# the digits are added in, and the writer drops every zero byte.
+@functools.cache
+def _tables() -> tuple:
+    """The formatter's tables, built on first use: the scales per e + 1073
+    (h1, h2, lo, X0; filled as exponents occur, 0 until then); the words
+    0 a 0 b 0 c 0 d of q = abcd in 0..9999; per q, the position 1..4 of its
+    last nonzero digit (0 for q = 0); words 0-4 per (class, nz, sign), the
+    class X + 4 in fixed notation (-4 <= X < 17), else 21; per X + 324,
+    36 times the class, and word 5."""
+    digits = np.zeros((10000, 8), np.uint8)
+    digits[:, 1::2] = np.indices((10,) * 4, np.uint8).reshape(4, -1).T
+    last = np.zeros(10000, np.uint8)
+    for j in range(4):
+        last[digits[:, 2 * j + 1] != 0] = j + 1
+    i8 = np.int8                            # small types keep numpy's buffers small
+    X, nz, neg = (a.ravel() for a in np.meshgrid(
+        np.arange(-4, 18, dtype=i8), np.arange(18, dtype=i8), [False, True], indexing='ij'))
+    fixed = X < 17
+    ndig = np.where(fixed, np.maximum(nz, X + 1), nz)
+    point = np.where(fixed, X, 0)           # the point follows digit `point`
+    keep = np.zeros((len(X), 40), bool)
+    keep[:, 0] = neg
+    keep[:, 1:6] = fixed[:, None] & (X[:, None] <= np.array([-1, -1, -2, -3, -4], i8))
+    keep[:, 7::2] = np.arange(17, dtype=i8) < ndig[:, None]
+    keep[:, 8::2] = (np.arange(16, dtype=i8) == point[:, None]) & (ndig > point + 1)[:, None]
+    words = np.where(keep, np.frombuffer(b"-0.000\x000" + b".0" * 16, np.uint8), 0)
+    X = np.arange(-324, 309, dtype=np.int16)
+    sci, a = (X < -4) | (X > 16), abs(X)
+    tail = np.zeros((len(X), 8), np.uint8)
+    tail[:, 0] = sci * ord('e')
+    tail[:, 1] = sci * np.where(X < 0, ord('-'), ord('+'))
+    tail[:, 2:5] = sci[:, None] * (48 + a[:, None] // np.array([100, 10, 1], np.int16) % 10)
+    tail[a < 100, 2] = 0
+    tail[:, 5] = ord(',')
+    return (np.zeros((2098, 4)), digits.view('<u8').ravel(), last, words.view('<u8'),
+            np.where(sci, 21, X + 4).astype(np.int64) * 36, tail.view('<u8').ravel())
+
+
+_CHUNK_AT = np.arange(1, 14, 4, dtype=np.uint8)[:, None]   # chunk j: digits d(4j-3)..d(4j)
+
+
+def _scale(e: int) -> tuple:
+    n = e - 1
+    x0 = len(str(2 ** n)) - 1 if n >= 0 else -len(str(2 ** -n))
+    num = 2 ** max(e, 0) * 10 ** max(16 - x0, 0)
+    den = 2 ** max(-e, 0) * 10 ** max(x0 - 16, 0)
+    hi = num / den                          # int / int rounds correctly
+    a, b = hi.as_integer_ratio()
+    h1 = hi * 134217729.0                   # Veltkamp split
+    h1 -= h1 - hi
+    return h1, hi - h1, (num * b - a * den) / (den * b), x0
+
+
+def _decimal(x: np.ndarray, scale: np.ndarray) -> tuple:
+    """(D, X, tie) for finite x: |x| rounds to D * 10**(X - 16) with 17 digits
+    (D = X = 0 at zero); tie marks a fraction within 1e-9 of one half."""
+    f, e = np.frexp(np.abs(x))
+    e += 1073
+    s = scale.T[:, e]
+    if (s[0] == 0).any():
+        for k in set(e[s[0] == 0].tolist()):
+            scale[k] = _scale(k - 1073)
+        s = scale.T[:, e]
+    X = s[3].astype(np.int64)           # X0
+    p = s[0] + s[1]
+    p *= f
+    f1 = f * 134217729.0
+    f1 -= f1 - f
+    f2 = f - f1
+    t = f1 * s[0]                       # t = f * scale - p, exact but for f * lo
+    t -= p
+    t += f1 * s[1]
+    t += f2 * s[0]
+    t += f2 * s[1]
+    t += f * s[2]
+    del s, f, f1, f2                    # a slab's temporaries stay few
+    D = p.astype(np.int64)
+    del p
+    fl = np.floor(t)
+    t -= fl                             # the fraction
+    D += fl.astype(np.int64)            # floor(f * scale)
+    del fl
+    big = D + (t > 0.5) >= 10 ** 17
+    q, r = np.divmod(D, 10)
+    np.copyto(D, q, where=big)
+    np.copyto(t, (r + t) / 10, where=big)
+    del q, r
+    D += t > 0.5
+    X += big
+    X[x == 0] = 0
+    return D, X, abs(t - 0.5) < 1e-9
+
+
+def _g17(v: np.ndarray, out: np.ndarray) -> None:
+    """Write format(x, '.17g') + ',' for each x of v (rows, k) to the 48-byte
+    fields of out (rows, k, 48), padded with zero bytes."""
+    scale, digits, last, layout, cls36, tail = _tables()
+    x = v.ravel()
+    odd = ~np.isfinite(x)
+    D, X, tie = _decimal(np.where(odd, 1.0, x), scale)
+    C = np.empty((5, len(x)), np.int64)     # d0, then four 4-digit chunks
+    for i in range(4, 0, -1):
+        np.divmod(D, 10000, out=(D, C[i]))
+    C[0] = D
+    t = last[C[1:]]
+    nz = np.maximum.reduce(np.where(t != 0, t + _CHUNK_AT, 1))   # digits to the last nonzero
+    X += 324
+    w = layout[cls36[X] + 2 * nz + np.signbit(x)]
+    w += digits[C.T]
+    words = out.view('<u8')
+    words[..., :5] = w.reshape(v.shape + (5,))          # a copy: out is strided
+    words[..., 5] = tail[X].reshape(v.shape)
+    for i in np.flatnonzero(odd | tie).tolist():
+        text = np.frombuffer(format(x[i], '.17g').encode(), np.uint8)
+        field = out[divmod(i, v.shape[1])]
+        field[:45] = 0
+        field[:len(text)] = text
+
+
+def _fields(axis) -> np.ndarray:
+    """An axis' fields, each with its ',', as a zero-padded uint8 matrix whose
+    width is a multiple of 8."""
+    if not isinstance(axis, list):
+        m = np.empty((len(axis), 1, 48), np.uint8)
+        _g17(axis[:, None], m)
+        axis = m.tobytes().translate(None, b'\0').decode().split(',')[:-1]
+    s = np.array([x.encode() + b',' for x in axis])
+    return s.astype(f'S{-(-s.itemsize // 8) * 8}').view(np.uint8).reshape(len(axis), -1)
 
 
 def _write_grid_csv(path, header: str, axes, values: np.ndarray) -> None:
     """One row per point of the product of the 1-d axes (float arrays, or lists
-    of ready-made fields free of '%'), in array order: coordinates, then values."""
-    fields = [a if isinstance(a, list) else ['%.17g' % v for v in a.tolist()]
-              for a in axes]
-    row = ','.join(['%.17g'] * values.shape[-1]) + '\n'
-    k = len(fields) - 1           # axes k.. make one template of rows
-    while k > 0 and math.prod(map(len, fields[k - 1:])) <= _SLAB_ROWS:
-        k -= 1
-    tail = ['', *(','.join(x) + ',' + row for x in itertools.product(*fields[k:]))]
-    slabs = values.reshape(-1, len(tail) - 1, values.shape[-1])
-    with open(path, 'w', newline='\n') as fh:
-        fh.write(header + '\n')
-        for lead, slab in zip(itertools.product(*fields[:k]), slabs):
-            # the leading coordinates, as the separator, prefix every row
-            fh.write(''.join(c + ',' for c in lead).join(tail)
-                     % tuple(slab.ravel().tolist()))
+    of ready-made fields), in array order: coordinates, then values."""
+    cols = [_fields(a) for a in axes]
+    flat = values.reshape(-1, values.shape[-1])
+    width = sum(c.shape[1] for c in cols) + 48 * flat.shape[1]
+    raw = bytearray(max(1, min(len(flat), _SLAB_ROWS)) * width)   # one slab's rows
+    buf = np.frombuffer(raw, np.uint8).reshape(-1, width)
+    with open(path, 'wb') as fh:
+        fh.write(header.encode() + b'\n')
+        for a in range(0, len(flat), len(buf)):
+            block = flat[a:a + len(buf)]
+            rows = buf[:len(block)]
+            buf[len(block):] = 0                                  # a shorter last slab
+            at = np.unravel_index(np.arange(a, a + len(block)), [len(c) for c in cols])
+            x = 0
+            for c, i in zip(cols, at):
+                np.take(c, i, axis=0, out=rows[:, x:x + c.shape[1]], mode='clip')
+                x += c.shape[1]
+            fields = rows[:, x:].reshape(len(block), -1, 48)
+            _g17(block, fields)
+            fields[:, -1, 45] = ord('\n')
+            fh.write(raw.translate(None, b'\0'))
 
 
 def write_field_csv(path, field: SpinorField) -> None:

@@ -8,6 +8,7 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -546,6 +547,30 @@ def test_thread_env_sets_blas_defaults(tmp_path, monkeypatch):
     code, _ = run(tmp_path, "spectrum", doc)
     assert code == 0
     assert os.environ["OMP_NUM_THREADS"] == "3"
+
+
+# ------------------------------------------------------------ module loading
+
+@pytest.mark.parametrize("command, doc, spherical", [
+    ("evolve", {"n": 8, "L": 8.0, "time": {"steps": 2, "dt": 0.1},
+                "output": {"formats": ["csv", "bin"]}}, False),
+    ("transform", {"n": 8, "L": 8.0, "output": {"formats": ["csv", "bin"]}}, False),
+    ("spectrum", {"n": 8, "L": 8.0}, False),
+    ("evolve", {**SMALL_SPH, "time": {"steps": 2, "dt": 0.1}}, True),
+])
+def test_only_spherical_runs_load_hankel(tmp_path, command, doc, spherical):
+    # a fresh interpreter: cartesian commands never import hankel or spherical
+    cfg = write_cfg(tmp_path, "c.json", {"command": command, **doc})
+    probe = ("import sys; from majorana import cli; code = cli.main(sys.argv[1:]); "
+             "print(code, 'majorana.hankel' in sys.modules, "
+             "'majorana.spherical' in sys.modules)")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
+    proc = subprocess.run([sys.executable, "-c", probe, command, "--config", cfg,
+                           "--out", str(tmp_path / "o"), "--quiet"],
+                          capture_output=True, text=True, env=env)
+    assert proc.stdout.split()[-3:] == ["0", str(spherical), str(spherical)], proc.stderr
 
 
 # ---------------------------------------------------------------- entry point

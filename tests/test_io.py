@@ -1,7 +1,9 @@
 """Serialization round trips and format validation."""
 
 import itertools
+import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -455,3 +457,101 @@ def test_csv_bytes_match_per_value_writer(tmp_path, monkeypatch, name, slab_rows
     write(got)
     per_value_csv(want, header, rows)
     assert got.read_bytes() == want.read_bytes()
+
+
+# ------------------------------------------- the vectorized %.17g formatter
+
+def formatted(values):
+    """The CSV formatter's text of each value, in chunks that keep its
+    temporaries small."""
+    v = np.asarray(values, dtype=float).ravel()
+    texts = []
+    for a in range(0, len(v), 1 << 16):
+        chunk = v[a:a + (1 << 16)]
+        out = np.empty((len(chunk), 1, 48), np.uint8)
+        io._g17(chunk[:, None], out)
+        texts += out.tobytes().translate(None, b'\0').decode().split(',')[:-1]
+    return texts
+
+
+def exact_ties(rng, count):
+    """Values m / 2**k whose exact decimal has 18 significant digits, the last
+    a 5: halfway between two 17-digit neighbours."""
+    k = rng.integers(3, 26, count)
+    lo = -(-10 ** 17 // 5 ** k)                 # m * 5**k has 18 digits
+    m = lo + rng.integers(0, 10 ** 18 // 5 ** k - lo)
+    return np.ldexp((m | 1).astype(float), -k)
+
+
+def powers_and_neighbours(rng):
+    p = np.concatenate([np.ldexp(1.0, np.arange(-1074, 1024)),
+                        [float(f"1e{k}") for k in range(-323, 309)]])
+    return np.concatenate([p, np.nextafter(p, 0), np.nextafter(p, np.inf)])
+
+
+def short_decimals(rng):
+    x = rng.standard_normal(30000) * 10.0 ** rng.integers(-12, 12, 30000)
+    return np.concatenate([np.round(x, d) for d in range(10)])
+
+
+FORMATTER_CASES = {   # each drawn with both signs
+    "random bits": lambda rng: rng.integers(0, 2 ** 63, 500_000, dtype=np.uint64).view(float),
+    "subnormals": lambda rng: rng.integers(1, 2 ** 52, 100_000, dtype=np.uint64).view(float),
+    "powers and neighbours": powers_and_neighbours,
+    "integers": lambda rng: np.arange(300_001, dtype=float),
+    "short decimals": short_decimals,
+    "ties": lambda rng: exact_ties(rng, 20000),
+    "specials": lambda rng: np.array([
+        2.0 ** -25, 1e16, 1e17, 99999999999999999.0, 9.99999999999999999e-5,
+        np.finfo(float).max, 0.0, np.inf, np.nan, 1e-4, 1e-5]),
+}
+
+
+@pytest.mark.parametrize("name", list(FORMATTER_CASES))
+def test_formatter_matches_format_17g(name):
+    v = FORMATTER_CASES[name](np.random.default_rng(2024))
+    values = np.concatenate([v, -v])
+    want = [format(x, '.17g') for x in values.tolist()]
+    got = formatted(values)
+    bad = [(x, g, w) for x, g, w in zip(values.tolist(), got, want) if g != w]
+    assert len(got) == len(want) and not bad, bad[:5]
+
+
+def test_csv_writer_writes_one_slab_at_a_time(monkeypatch):
+    # each slab of _SLAB_ROWS rows is one write, so small caps cross slab
+    # boundaries inside small grids
+    writes = []
+
+    class Recorder:
+        def __init__(self, *args, **kwargs):
+            pass
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def write(self, data):
+            writes.append(len(data))
+
+    monkeypatch.setattr(io, "open", Recorder, raising=False)
+    f = cart_field(n=4)                                        # 64 rows
+    for slab_rows, slabs in ((5, 13), (64, 1), (1024, 1)):
+        monkeypatch.setattr(io, "_SLAB_ROWS", slab_rows)
+        writes.clear()
+        io.write_field_csv("unused.csv", f)
+        assert len(writes) == 1 + slabs                        # the header, then slabs
+
+
+def test_spherical_csv_writer_peak_memory():
+    # 256 x 32 x 64 x 4 values (16.8 MB) stream through one slab buffer
+    g = hankel.SphericalGrid(256, 40.0, 32, 64, 5, 256)
+    f = hankel.SphericalField(g, RNG.standard_normal((256, 32, 64, 4)), 1.0)
+    tracemalloc.start()
+    try:
+        io.write_spherical_csv(os.devnull, f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2e6, peak
