@@ -1,10 +1,15 @@
 """Command-line harness: verification suites, wave-packet evolution, and
 transform round trips, driven by a JSON run configuration.
 
-Numerical submodules are imported inside the command handlers, on the
-branch that uses them: MAJORANA_THREADS can cap BLAS/OpenMP parallelism
-before numpy loads (0 or unset leaves the libraries at their own defaults),
-and a cartesian command never loads `hankel` or `spherical`.
+Each command has one body for both domains. `_start` builds the initial
+condition and hands back the domain's grid, transforms and spectrum writer;
+a command branches on the domain only where the arithmetic differs, and
+`_caveats` gives every summary its numerical caveats at one position.
+
+Numerical submodules are imported inside the handlers, on the branch that
+uses them: MAJORANA_THREADS can cap BLAS/OpenMP parallelism before numpy
+loads (0 or unset leaves the libraries at their own defaults), and a
+cartesian command never loads `hankel` or `spherical`.
 
 Exit status: 0 full pass, 1 any check failure, 2 configuration error.
 """
@@ -275,29 +280,71 @@ def _initial_value(ini: dict, key: str, default, shape: tuple, what: str):
     return v
 
 
-def _initial_kind(cfg: RunConfig) -> str:
-    """initial.type, once initial holds only keys that type reads."""
-    kind = cfg.initial.get("type", "gaussian")
+def _start(cfg: RunConfig):
+    """The initial condition on cfg's domain: (grid, field, spec, keys, ops).
+
+    spec is the start's own spectrum when it is defined in momentum space,
+    else None; keys are the summary keys the start adds; ops are the domain's
+    forward transform, inverse transform and spectrum CSV writer.
+    """
+    import numpy as np
+
+    from . import io as fio
+
+    ini, kind = cfg.initial, cfg.initial.get("type", "gaussian")
     known = _INITIAL_KEYS.get((cfg.domain, kind)) if isinstance(kind, str) else None
     if known is None:
         raise ConfigError(f"unknown initial.type {kind!r}")
-    _reject_unknown(cfg.initial, known, "initial keys")
-    return kind
+    _reject_unknown(ini, known, "initial keys")
+    chi = _initial_value(ini, "spinor", [1.0, 0.0, 0.0, 0.0], (4,), "a 4-vector")
+    sph = cfg.domain == "spherical"
+    if kind == "gaussian":
+        width = float(_initial_value(ini, "width", cfg.rmax / 20 if sph else cfg.L / 10,
+                                     (), "a number"))
+        if not width > 0:
+            raise ConfigError("initial.width must be > 0")
+    if sph:
+        from . import hankel
 
-
-def _initial_cartesian(cfg: RunConfig):
-    import numpy as np
+        grid = hankel.SphericalGrid(cfg.nr, cfg.rmax, cfg.ntheta, cfg.nphi,
+                                    cfg.lmax, cfg.np_points)
+        ops = hankel.forward_hankel, hankel.inverse_hankel, fio.write_hankel_csv
+        try:
+            mode = hankel.AngularMode(ini.get("l", 1), ini.get("mu", 0))
+        except (TypeError, ValueError) as e:
+            raise ConfigError(f"invalid initial (l, mu): {e}")
+        if mode.l > cfg.lmax:
+            raise ConfigError(f"initial.l = {mode.l} exceeds lmax = {cfg.lmax}")
+        if kind == "gaussian":
+            if ini.get("boost") is not None:
+                raise ConfigError("initial.boost is not supported on the "
+                                  "spherical domain")
+            r0 = float(_initial_value(ini, "center", cfg.rmax / 4, (),
+                                      "a radius (number) on the spherical domain"))
+            env = np.exp(-((grid.r - r0) / width) ** 2)
+            base = np.einsum('xyab,b->xya', grid.omega(mode), chi)
+            vals = env[:, None, None, None] * base[None]
+            return grid, hankel.SphericalField(grid, vals, cfg.mass), None, {}, ops
+        p = float(_initial_value(ini, "p", None, (),   # single-mode
+                                 "a number for a spherical single mode"))
+        if not 0 < p <= grid.pmax:
+            raise ConfigError(f"initial.p must lie in (0, {grid.pmax:.6g}]")
+        kp = int(np.clip(round(p / grid.dp - 0.5), 0, grid.np_points - 1))
+        co = np.zeros((grid.np_points, len(grid.modes), 4))
+        co[kp, grid.mode_index[tuple(mode)]] = chi
+        spec = hankel.HankelSpectrum(grid, co, cfg.mass)
+        field0 = hankel.inverse_hankel(spec)
+        spec.tail_fraction = field0.tail_fraction()
+        # the summary records the momentum node the requested p snapped to
+        snap = {"initial_p_requested": p, "initial_p_node": float(grid.p[kp])}
+        return grid, field0, spec, snap, ops
 
     from . import fourier
 
     grid = fourier.CartesianGrid(cfg.n, cfg.L)
-    ini, kind = cfg.initial, _initial_kind(cfg)
-    chi = _initial_value(ini, "spinor", [1.0, 0.0, 0.0, 0.0], (4,), "a 4-vector")
+    ops = fourier.forward, fourier.inverse, fio.write_spectrum_csv
     if kind == "gaussian":
         center = _initial_value(ini, "center", [cfg.L / 2] * 3, (3,), "a 3-vector")
-        width = float(_initial_value(ini, "width", cfg.L / 10, (), "a number"))
-        if not width > 0:
-            raise ConfigError("initial.width must be > 0")
         boost = _initial_value(ini, "boost", [0.0, 0.0, 0.0], (3,), "a 3-vector")
         if np.any(boost != 0.0):
             # a moving packet is built as a single-sided momentum bump at
@@ -306,12 +353,15 @@ def _initial_cartesian(cfg: RunConfig):
             # the group velocity <p>/<E>
             bump = np.exp(-((grid.P - boost) ** 2).sum(-1) * width ** 2 / 2.0)
             vals = bump[..., None] * fourier.rotate(-(grid.P @ center), chi)
-            spec = fourier.MomentumSpectrum(grid, vals, cfg.mass)
-            return grid, fourier.inverse(spec)
+            deg = grid._tables(cfg.mass)[2]
+            vals[deg] = 0.0   # the massless transforms drop p = 0
+            spec = fourier.MomentumSpectrum(grid, vals, cfg.mass,
+                                            zero_mode_dropped=bool(deg.any()))
+            return grid, fourier.inverse(spec), spec, {}, ops
         X, Y, Z = np.meshgrid(grid.xs, grid.xs, grid.xs, indexing='ij')
         env = np.exp(-((X - center[0]) ** 2 + (Y - center[1]) ** 2
                        + (Z - center[2]) ** 2) / (2 * width ** 2))
-        return grid, fourier.SpinorField(grid, env[..., None] * chi, cfg.mass)
+        return grid, fourier.SpinorField(grid, env[..., None] * chi, cfg.mass), None, {}, ops
     kvec = ini.get("p")   # single-mode
     if (not isinstance(kvec, list) or len(kvec) != 3
             or any(isinstance(v, bool) or not isinstance(v, int) for v in kvec)):
@@ -319,133 +369,82 @@ def _initial_cartesian(cfg: RunConfig):
     if any(not -cfg.n // 2 < v < cfg.n // 2 for v in kvec):
         raise ConfigError(f"initial.p components must lie in "
                           f"({-cfg.n // 2}, {cfg.n // 2}) (Nyquist excluded)")
-    return grid, fourier.plane_wave(grid, kvec, cfg.mass, chi)
+    return grid, fourier.plane_wave(grid, kvec, cfg.mass, chi), None, {}, ops
 
 
-def _initial_spherical(cfg: RunConfig):
-    import numpy as np
-
-    from . import hankel
-
-    grid = hankel.SphericalGrid(cfg.nr, cfg.rmax, cfg.ntheta, cfg.nphi,
-                                cfg.lmax, cfg.np_points)
-    ini, kind = cfg.initial, _initial_kind(cfg)
-    chi = _initial_value(ini, "spinor", [1.0, 0.0, 0.0, 0.0], (4,), "a 4-vector")
-    l = ini.get("l", 1)
-    mu = ini.get("mu", 0)
-    try:
-        mode = hankel.AngularMode(l, mu)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"invalid initial (l, mu): {e}")
-    if mode.l > cfg.lmax:
-        raise ConfigError(f"initial.l = {mode.l} exceeds lmax = {cfg.lmax}")
-    if kind == "gaussian":
-        if ini.get("boost") is not None:
-            raise ConfigError("initial.boost is not supported on the "
-                              "spherical domain")
-        r0 = float(_initial_value(ini, "center", cfg.rmax / 4, (),
-                                  "a radius (number) on the spherical domain"))
-        width = float(_initial_value(ini, "width", cfg.rmax / 20, (), "a number"))
-        if not width > 0:
-            raise ConfigError("initial.width must be > 0")
-        env = np.exp(-((grid.r - r0) / width) ** 2)
-        base = np.einsum('xyab,b->xya', grid.omega(mode), chi)
-        vals = env[:, None, None, None] * base[None]
-        return grid, hankel.SphericalField(grid, vals, cfg.mass), None, {}
-    p = float(_initial_value(ini, "p", None, (),   # single-mode
-                             "a number for a spherical single mode"))
-    if not 0 < p <= grid.pmax:
-        raise ConfigError(f"initial.p must lie in (0, {grid.pmax:.6g}]")
-    kp = int(np.clip(round(p / grid.dp - 0.5), 0, grid.np_points - 1))
-    co = np.zeros((grid.np_points, len(grid.modes), 4))
-    co[kp, grid.mode_index[tuple(mode)]] = chi
-    spec = hankel.HankelSpectrum(grid, co, cfg.mass)
-    # the summary records the momentum node the requested p snapped to
-    snap = {"initial_p_requested": p, "initial_p_node": float(grid.p[kp])}
-    return grid, hankel.inverse_hankel(spec), spec, snap
+def _caveats(cfg: RunConfig, spec, keys: dict) -> dict:
+    """The numerical caveats of every summary: the dropped massless zero mode
+    (cartesian) or the input field's tail at rmax (spherical), then the
+    start's keys."""
+    if cfg.domain == "cartesian":
+        return {"zero_mode_dropped": bool(spec.zero_mode_dropped), **keys}
+    return {"tail_fraction": spec.tail_fraction, **keys}
 
 
 # -------------------------------------------------------------------- evolve
 
+def _centroid(grid, dens):
+    """Density-weighted mean position on a cartesian grid (zero if empty)."""
+    import numpy as np
+
+    tot = dens.sum()
+    if tot <= 0:
+        return np.zeros(3)
+    return np.array([dens.sum((1, 2)) @ grid.xs, dens.sum((0, 2)) @ grid.xs,
+                     dens.sum((0, 1)) @ grid.xs]) / tot
+
+
 def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
     import numpy as np
 
-    from . import fourier, io as fio
+    from . import io as fio
 
     out = _out_path(cfg)
-    rows = []
-    if cfg.domain == "cartesian":
-        grid, field0 = _initial_cartesian(cfg)
-        spec0 = fourier.forward(field0)
-        E = grid.energies(cfg.mass)
-        w = (spec0.values ** 2).sum(-1)
-        wtot = w.sum()
-        energy = float((E * w).sum() / wtot) if wtot > 0 else 0.0
-        pmean = (np.einsum('xyzj,xyz->j', grid.P, w) / wtot if wtot > 0
-                 else np.zeros(3))
-        vg_pred = pmean / energy if energy > 0 else np.zeros(3)
+    grid, fld, spec, keys, (forward, inverse, _) = _start(cfg)
+    if spec is None:
+        spec = forward(fld)
+    cart, E = cfg.domain == "cartesian", grid.energies(cfg.mass)
+    # frames evolve spec by the exact time k dt, so rounding does not pile up
+    times = [k * cfg.dt for k in range(cfg.steps + 1)]
+    if cart:
+        from . import fourier
 
-        def centroid(dens):
-            tot = dens.sum()
-            if tot <= 0:
-                return np.zeros(3)
-            return np.array([dens.sum((1, 2)) @ grid.xs, dens.sum((0, 2)) @ grid.xs,
-                             dens.sum((0, 1)) @ grid.xs]) / tot
-
-        norm0 = spec0.norm2()
-        # frames evolve spec0 by the exact time k dt, so rounding does not pile up
-        times = [k * cfg.dt for k in range(cfg.steps + 1)]
-        c0 = centroid(np.einsum('xyza,xyza->xyz', field0.values, field0.values))
-        rows.append((0, times[0], norm0, energy, *c0))
-        for k, (norm2, dens) in enumerate(fourier.evolved_densities(spec0, times[1:]), 1):
-            rows.append((k, times[k], norm2, energy, *centroid(dens)))
-        fld = fourier.inverse(fourier.evolve(spec0, times[-1])) if cfg.steps else field0
-        drift = _rel(np.abs(np.array([r[2] for r in rows]) - norm0).max(), norm0)
-        tend = cfg.steps * cfg.dt
-        vg_meas = ((np.array(rows[-1][4:7]) - c0) / tend if tend > 0
-                   else np.zeros(3))
-        header = "step,t,norm,energy,cx,cy,cz"
-        summary = {
-            "domain": "cartesian", "steps": cfg.steps, "dt": cfg.dt,
-            "norm_initial": norm0, "max_norm_drift_rel": drift,
-            "energy_expectation": energy,
-            "group_velocity_predicted": [float(v) for v in vg_pred],
-            "group_velocity_measured": [float(v) for v in vg_meas],
-            "passed": drift <= 1e-12,
-        }
+        evolve, header = fourier.evolve, "step,t,norm,energy,cx,cy,cz"
+        w = (spec.values ** 2).sum(-1)
+        c0 = _centroid(grid, np.einsum('xyza,xyza->xyz', fld.values, fld.values))
+        frames = ((norm2, *_centroid(grid, dens)) for norm2, dens
+                  in fourier.evolved_densities(spec, times[1:]))
     else:
         from . import hankel
 
-        grid, field0, spec, snap = _initial_spherical(cfg)
-        if spec is None:
-            spec = hankel.forward_hankel(field0)
-            tail = spec.tail_fraction
-        else:
-            tail = field0.tail_fraction()
-        E = grid.energies(cfg.mass)
-        pw = spec.p_weights()
-        w = np.einsum('pma,pma,p->p', spec.values, spec.values, pw)
-        wtot = w.sum()
-        energy = float((E * w).sum() / wtot) if wtot > 0 else 0.0
-        norm0 = spec.norm2()
-        times = [k * cfg.dt for k in range(cfg.steps + 1)]
-        rows.append((0, times[0], norm0, energy))
-        for k, norm2 in enumerate(hankel.evolved_norms(spec, times[1:]), 1):
-            rows.append((k, times[k], norm2, energy))
-        drift = _rel(np.abs(np.array([r[2] for r in rows]) - norm0).max(), norm0)
-        header = "step,t,norm,energy"
-        summary = {
-            "domain": "spherical", "steps": cfg.steps, "dt": cfg.dt,
-            "tail_fraction": tail, **snap,
-            "norm_initial": norm0, "max_norm_drift_rel": drift,
-            "energy_expectation": energy,
-            "passed": drift <= 1e-12,
-        }
-        if cfg.steps:   # free the initial field before the inverse allocates the final one
-            del field0
-            fld = hankel.inverse_hankel(hankel.evolve_hankel(spec, times[-1]))
-        else:
-            fld = field0
+        evolve, header = hankel.evolve_hankel, "step,t,norm,energy"
+        w = np.einsum('pma,pma,p->p', spec.values, spec.values, spec.p_weights())
+        c0 = ()
+        frames = ((norm2,) for norm2 in hankel.evolved_norms(spec, times[1:]))
+    wtot = w.sum()
+    energy = float((E * w).sum() / wtot) if wtot > 0 else 0.0
+    norm0 = spec.norm2()
+    rows = [(0, times[0], norm0, energy, *c0)]
+    rows += [(k, times[k], norm2, energy, *c) for k, (norm2, *c) in enumerate(frames, 1)]
+    drift = _rel(np.abs(np.array([r[2] for r in rows]) - norm0).max(), norm0)
+    summary = {
+        "domain": cfg.domain, "steps": cfg.steps, "dt": cfg.dt,
+        **_caveats(cfg, spec, keys),
+        "norm_initial": norm0, "max_norm_drift_rel": drift,
+        "energy_expectation": energy,
+    }
+    if cart:   # the centroid moves at <p>/<E>; a negative dt runs it backward
+        pmean = (np.einsum('xyzj,xyz->j', grid.P, w) / wtot if wtot > 0
+                 else np.zeros(3))
+        vg_pred = pmean / energy if energy > 0 else np.zeros(3)
+        tend = times[-1]
+        vg_meas = (np.array(rows[-1][4:7]) - c0) / tend if tend != 0 else np.zeros(3)
+        summary["group_velocity_predicted"] = [float(v) for v in vg_pred]
+        summary["group_velocity_measured"] = [float(v) for v in vg_meas]
+    summary["passed"] = drift <= 1e-12
+    if cfg.steps:   # free the initial field before the inverse allocates the final one
+        del fld
+        fld = inverse(evolve(spec, times[-1]))
 
     _write_fields(cfg, out, final=fld)
     fio.write_frames_csv(out / "frames.csv", header, rows)
@@ -462,64 +461,48 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
 def _cmd_transform(cfg: RunConfig, quiet: bool) -> int:
     import numpy as np
 
-    from . import io as fio
-
     out = _out_path(cfg)
+    grid, field0, _, keys, (forward, inverse, write_spectrum) = _start(cfg)
+    spec = forward(field0)
+    recon = inverse(spec)
     why = ""
     if cfg.domain == "cartesian":
-        from . import fourier
-
-        grid, field0 = _initial_cartesian(cfg)
-        spec = fourier.forward(field0)
-        recon = fourier.inverse(spec)
         if cfg.mass > 0:
             diff = recon.values - field0.values
             max_rel = _rel(_absmax(diff), _absmax(field0.values))
             l2_rel = np.sqrt(_rel((diff ** 2).sum(), (field0.values ** 2).sum()))
         else:
             # p = 0 is dropped at m = 0: compare on the invariant subspace
-            spec2 = fourier.forward(recon)
+            spec2 = forward(recon)
             diff = np.subtract(spec2.values, spec.values, out=spec2.values)
             max_rel = _rel(_absmax(diff), _absmax(spec.values))
             l2_rel = max_rel
-        parseval = _rel(abs(spec.norm2() - recon.norm2()), recon.norm2())
+        errors = {"max_error_rel": float(max_rel), "l2_error_rel": float(l2_rel),
+                  "parseval_rel": _rel(abs(spec.norm2() - recon.norm2()), recon.norm2())}
         threshold = 1e-9
-        fio.write_spectrum_csv(out / "spectrum.csv", spec)
-        summary = {
-            "domain": "cartesian", "mass": cfg.mass,
-            "zero_mode_dropped": bool(spec.zero_mode_dropped),
-            "max_error_rel": float(max_rel), "l2_error_rel": float(l2_rel),
-            "parseval_rel": float(parseval), "threshold": threshold,
-            "passed": bool(max_rel <= threshold),
-        }
+        passed = bool(max_rel <= threshold)
     else:
         from . import hankel
 
-        grid, field0, _, snap = _initial_spherical(cfg)
-        spec = hankel.forward_hankel(field0)
-        recon = hankel.inverse_hankel(spec)
         diff = hankel.SphericalField(grid, recon.values - field0.values, cfg.mass)
         l2_rel = np.sqrt(_rel(diff.norm2(), field0.norm2()))
-        max_rel = _rel(_absmax(diff.values), _absmax(field0.values))
+        errors = {"max_error_rel": _rel(_absmax(diff.values), _absmax(field0.values)),
+                  "l2_error_rel": float(l2_rel)}
         threshold = 1e-4
-        fio.write_hankel_csv(out / "spectrum.csv", spec)
-        summary = {
-            "domain": "spherical", "mass": cfg.mass,
-            "tail_fraction": spec.tail_fraction, **snap,
-            "max_error_rel": float(max_rel), "l2_error_rel": float(l2_rel),
-            "threshold": threshold,
-            "passed": bool(l2_rel <= threshold),
-        }
-        if not summary["passed"] and spec.tail_fraction > hankel.TAIL_LIMIT:
+        passed = bool(l2_rel <= threshold)
+        if not passed and spec.tail_fraction > hankel.TAIL_LIMIT:
             why = (f"; the field's tail at rmax holds {spec.tail_fraction:.1e} of "
                    "norm^2, so the radial truncation, not the transform, sets the error")
+    write_spectrum(out / "spectrum.csv", spec)
     _write_fields(cfg, out, input=field0, reconstruction=recon)
+    summary = {"domain": cfg.domain, "mass": cfg.mass, **_caveats(cfg, spec, keys),
+               **errors, "threshold": threshold, "passed": passed}
     _write_json(out / "summary.json", summary)
     if not quiet:
         print(f"round-trip errors: max {summary['max_error_rel']:.3e}, "
               f"L2 {summary['l2_error_rel']:.3e} (threshold {threshold:.0e})")
-    print(f"{'PASS' if summary['passed'] else 'FAIL'}: artifacts in {out}{why}")
-    return 0 if summary["passed"] else 1
+    print(f"{'PASS' if passed else 'FAIL'}: artifacts in {out}{why}")
+    return 0 if passed else 1
 
 
 # ------------------------------------------------------------------ spectrum
@@ -527,32 +510,21 @@ def _cmd_transform(cfg: RunConfig, quiet: bool) -> int:
 def _cmd_spectrum(cfg: RunConfig, quiet: bool) -> int:
     import numpy as np
 
-    from . import io as fio
-
     out = _out_path(cfg)
+    grid, field0, _, keys, (forward, _, write_spectrum) = _start(cfg)
+    spec = forward(field0)
     if cfg.domain == "cartesian":
-        from . import fourier
-
-        grid, field0 = _initial_cartesian(cfg)
-        spec = fourier.forward(field0)
         mags = (spec.values ** 2).sum(-1) / grid.L ** 3
-        total = mags.sum()
         idx = np.unravel_index(int(mags.argmax()), mags.shape)
         peak_mode = [int(grid.ks[i]) for i in idx]
-        fio.write_spectrum_csv(out / "spectrum.csv", spec)
     else:
-        from . import hankel
-
-        grid, field0, _, snap = _initial_spherical(cfg)
-        spec = hankel.forward_hankel(field0)
         mags = np.einsum('pma,pma,p->pm', spec.values, spec.values,
                          spec.p_weights())
-        total = mags.sum()
         kp, im = np.unravel_index(int(mags.argmax()), mags.shape)
         l, mu = grid.modes[im]
         peak_mode = [float(grid.p[kp]), int(l), int(mu)]
-        fio.write_hankel_csv(out / "spectrum.csv", spec)
-    peak = float(mags.max())
+    write_spectrum(out / "spectrum.csv", spec)
+    total, peak = mags.sum(), float(mags.max())
     peak_fraction = peak / float(total) if total > 0 else 0.0
     n_sig = int((mags > 1e-12 * peak).sum()) if peak > 0 else 0
     summary = {
@@ -562,9 +534,8 @@ def _cmd_spectrum(cfg: RunConfig, quiet: bool) -> int:
         "peak_fraction": float(peak_fraction),
         "modes_above_1e-12_of_peak": n_sig,
         "dominant_single_mode": bool(peak_fraction > 0.5),
+        **_caveats(cfg, spec, keys),
     }
-    if cfg.domain == "spherical":
-        summary.update(tail_fraction=spec.tail_fraction, **snap)
     _write_json(out / "summary.json", summary)
     if not quiet:
         print(f"peak mode {peak_mode} carries {peak_fraction:.4f} of norm^2; "

@@ -168,8 +168,8 @@ class SphericalField:
 class HankelSpectrum:
     """Mode amplitudes psi(p_k, l, mu); values shape (..., np_points, nmodes, 4).
 
-    tail_fraction is that of the field forward_hankel transformed (None for a
-    spectrum made any other way), so callers need not scan the field again.
+    tail_fraction is that of the field forward_hankel transformed, or is set
+    by the spectrum's maker (None if unset), so callers need not rescan a field.
     """
     grid: SphericalGrid
     values: np.ndarray

@@ -108,9 +108,9 @@ def test_evolve_zero_steps_writes_initial_field(tmp_path, domain):
     assert code == 0
     cfg = cli.load_config(str(tmp_path / "evolve.json"), "evolve", None)
     if domain == "cartesian":
-        field0, final = cli._initial_cartesian(cfg)[1], fio.read_maj1(od / "final.maj1")
+        field0, final = cli._start(cfg)[1], fio.read_maj1(od / "final.maj1")
     else:
-        field0, final = cli._initial_spherical(cfg)[1], fio.read_majs(od / "final.majs")
+        field0, final = cli._start(cfg)[1], fio.read_majs(od / "final.majs")
     np.testing.assert_array_equal(final.values, field0.values)
 
 
@@ -127,11 +127,48 @@ def test_evolve_boosted_packet_tracks_group_velocity(tmp_path):
     assert abs(vm[1]) < 0.02 and abs(vm[2]) < 0.02
 
 
+def test_evolve_backward_measures_signed_group_velocity(tmp_path):
+    # a negative dt runs the packet backward: the measured velocity is the
+    # signed displacement over the (negative) elapsed time
+    doc = {"command": "evolve", "n": 24, "L": 12.0, "mass": 1.0,
+           "initial": {"type": "gaussian", "center": [6.0, 6.0, 6.0],
+                       "width": 1.5, "boost": [1.2, 0.0, 0.0]},
+           "time": {"steps": 60, "dt": -0.02}}
+    code, od = run(tmp_path, "evolve", doc)
+    assert code == 0
+    s = load_summary(od)
+    frames = np.loadtxt(od / "frames.csv", delimiter=",", skiprows=1)
+    vx = (frames[-1, 4] - frames[0, 4]) / (60 * -0.02)
+    assert abs(s["group_velocity_measured"][0] - vx) <= 1e-12
+    vp = s["group_velocity_predicted"][0]
+    assert abs(s["group_velocity_measured"][0] - vp) <= 0.1 * abs(vp)
+
+
+def test_massless_boosted_evolve_drops_the_zero_mode(tmp_path):
+    # the start's spectrum loses p = 0 as the massless transforms do, so the
+    # summary matches the spectrum of the field the start writes
+    doc = {"command": "evolve", "n": 8, "L": 8.0, "mass": 0.0,
+           "initial": {"type": "gaussian", "center": [3.5, 4.0, 4.5],
+                       "width": 1.2, "boost": [0.9, -0.4, 0.3]},
+           "time": {"steps": 4, "dt": 0.05}}
+    code, od = run(tmp_path, "evolve", doc)
+    assert code == 0
+    s = load_summary(od)
+    spec = fourier.forward(cli._start(cli.load_config(
+        str(tmp_path / "evolve.json"), "evolve", None))[1])
+    w = (spec.values ** 2).sum(-1)
+    energy = float((spec.grid.energies(0.0) * w).sum() / w.sum())
+    assert s["zero_mode_dropped"] is True
+    assert s["norm_initial"] == pytest.approx(spec.norm2(), rel=1e-14)
+    assert s["energy_expectation"] == pytest.approx(energy, rel=1e-14)
+
+
 def per_step_frames(cfg):
     """frames.csv rows as evolve's per-step loop made them, with one evolve
     and one inverse per frame: the reference for evolved_densities."""
-    grid, field0 = cli._initial_cartesian(cfg)
-    spec0 = fourier.forward(field0)
+    grid, field0, spec0 = cli._start(cfg)[:3]
+    if spec0 is None:
+        spec0 = fourier.forward(field0)
     w = (spec0.values ** 2).sum(-1)
     energy = float((grid.energies(cfg.mass) * w).sum() / w.sum())
     rows = []
@@ -191,7 +228,7 @@ def test_evolve_spherical(tmp_path):
 def per_step_spherical(cfg):
     """A spherical evolve's frame norms, final field and tail fraction, with
     one evolve_hankel per frame and one inverse of the last: its reference."""
-    _, field0, spec0, _ = cli._initial_spherical(cfg)
+    _, field0, spec0 = cli._start(cfg)[:3]
     if spec0 is None:
         spec0 = hankel.forward_hankel(field0)
     norms = [(hankel.evolve_hankel(spec0, k * cfg.dt) if k else spec0).norm2()
@@ -231,6 +268,26 @@ def test_spherical_single_mode_records_snapped_p(tmp_path, capsys, command):
         assert last.startswith("FAIL: artifacts in")
         assert "the field's tail at rmax holds" in last
         assert "not the transform, sets the error" in last
+
+
+@pytest.mark.filterwarnings("ignore:field tail")  # delta spectra do not decay
+@pytest.mark.parametrize("domain", ["cartesian", "spherical"])
+@pytest.mark.parametrize("command", ["evolve", "transform", "spectrum"])
+def test_every_summary_records_its_caveats(tmp_path, command, domain):
+    if domain == "cartesian":   # massless, so the p = 0 mode is dropped
+        doc = {"n": 8, "L": 8.0, "mass": 0.0,
+               "initial": {"type": "gaussian", "boost": [0.9, -0.4, 0.3]}}
+    else:
+        doc = dict(SMALL_SPH, mass=1.0,
+                   initial={"type": "single-mode", "p": 1.5, "l": 2, "mu": -1})
+    run(tmp_path, command, dict(doc, command=command, time={"steps": 2, "dt": 0.1}))
+    s = load_summary(tmp_path / "out")
+    if domain == "cartesian":
+        assert s["zero_mode_dropped"] is True and "tail_fraction" not in s
+    else:
+        assert "zero_mode_dropped" not in s
+        assert math.isfinite(s["tail_fraction"]) and 0 <= s["tail_fraction"] <= 1
+        assert_snapped_p(s, 1.5)
 
 
 # ----------------------------------------------------------------- transform
