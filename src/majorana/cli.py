@@ -493,6 +493,7 @@ def _cmd_transform(cfg: RunConfig, quiet: bool) -> int:
         if not passed and spec.tail_fraction > hankel.TAIL_LIMIT:
             why = (f"; the field's tail at rmax holds {spec.tail_fraction:.1e} of "
                    "norm^2, so the radial truncation, not the transform, sets the error")
+    diff = spec2 = None                 # dead: freed before the CSV writers run
     write_spectrum(out / "spectrum.csv", spec)
     _write_fields(cfg, out, input=field0, reconstruction=recon)
     summary = {"domain": cfg.domain, "mass": cfg.mass, **_caveats(cfg, spec, keys),

@@ -13,8 +13,9 @@ x0..x3 or r,theta,phi), then psi0..psi3; mode spectra use p,l,mu,psi0..psi3.
 Every float is written as format(v, '.17g') would write it, so identical
 inputs give byte-identical files.  The CSV writer formats in numpy, exactly,
 with no per-float string call: each 1-d axis is formatted once, and each slab
-of at most _SLAB_ROWS rows is laid out as zero-padded bytes in one reused
-buffer, whose zero bytes are dropped on write; no file is held whole.
+of at most _SLAB_ROWS (1792) rows is laid out as zero-padded bytes, whose zero
+bytes are dropped on write.  The slab and the formatter's buffers are allocated
+once per file, for min(rows, _SLAB_ROWS) rows; no file is held whole.
 """
 
 from __future__ import annotations
@@ -169,15 +170,16 @@ def read_majs(path, lmax: int | None = None,
     return SphericalField(grid, values, float(mass))
 
 
-_SLAB_ROWS = 256    # rows formatted and written per slab
+_SLAB_ROWS = 1792   # rows formatted and written per slab
 
 # The formatter writes each float as format(v, '.17g') does.  A finite v != 0
 # is f * 2**e with 0.5 <= f < 1.  With X0 = floor(log10(2**(e-1))), the product
 # v * 10**(16 - X0) lies in [1e16, 2e17); rounded, it is the 17 significant
-# digits D, or ten times them if it reaches 1e17 (decimal exponent X0 + 1).
-# The scale 2**e * 10**(16 - X0) is a double-double h1 + h2 + lo built from
-# exact ints, and Dekker's product f * (h1 + h2) is exact, so the product's
-# fraction is known to about 1e-13.  Non-finite values, and values within 1e-9
+# digits D, unless it rounds to 1e17 or more: f at least a per-e bound, where
+# the decimal exponent X is X0 + 1 and the scale 2**e * 10**(15 - X0).  The
+# scale 2**e * 10**(16 - X) is a double-double h1 + h2 + lo built from exact
+# ints, and Dekker's product f * (h1 + h2) is exact, so the product's fraction
+# is known to about 1e-13.  Non-finite values, and values within 1e-9
 # of a rounding tie, are formatted one by one.  A value's text is laid out in
 # a 48-byte field of six little-endian words: '-0.000', a pad byte and d0; four
 # words 'P d P d P d P d' with the points P0..P15 before the digits d1..d16;
@@ -186,17 +188,18 @@ _SLAB_ROWS = 256    # rows formatted and written per slab
 # the digits are added in, and the writer drops every zero byte.
 @functools.cache
 def _tables() -> tuple:
-    """The formatter's tables, built on first use: the scales per e + 1073
-    (h1, h2, lo, X0; filled as exponents occur, 0 until then); the words
-    0 a 0 b 0 c 0 d of q = abcd in 0..9999; per q, the position 1..4 of its
-    last nonzero digit (0 for q = 0); words 0-4 per (class, nz, sign), the
-    class X + 4 in fixed notation (-4 <= X < 17), else 21; per X + 324,
-    36 times the class, and word 5."""
+    """The formatter's tables, built on first use: per e + 1073 the bound on f,
+    per 2 (e + 1073) + X - X0 the scale's h1, h2, X + 324 and lo (both filled as
+    exponents occur, 0 until then); the words 0 a 0 b 0 c 0 d of q = abcd; per
+    chunk j and q, 2 nz if q's last nonzero digit is digit nz (else 0, but 2 in
+    chunk 1); words 0-4 per (class, nz, sign), the class X + 4 in fixed notation
+    (-4 <= X < 17), else 21; per X + 324, 36 times the class, and word 5."""
     digits = np.zeros((10000, 8), np.uint8)
     digits[:, 1::2] = np.indices((10,) * 4, np.uint8).reshape(4, -1).T
-    last = np.zeros(10000, np.uint8)
-    for j in range(4):
-        last[digits[:, 2 * j + 1] != 0] = j + 1
+    nz2 = np.zeros((4, 10000), np.uint8)    # chunk j: digits d(4j+1)..d(4j+4)
+    for i in range(4):
+        nz2[:, digits[:, 2 * i + 1] != 0] = 2 * i + 4 + np.arange(0, 32, 8, np.uint8)[:, None]
+    nz2[0, 0] = 2
     i8 = np.int8                            # small types keep numpy's buffers small
     X, nz, neg = (a.ravel() for a in np.meshgrid(
         np.arange(-4, 18, dtype=i8), np.arange(18, dtype=i8), [False, True], indexing='ij'))
@@ -217,89 +220,95 @@ def _tables() -> tuple:
     tail[:, 2:5] = sci[:, None] * (48 + a[:, None] // np.array([100, 10, 1], np.int16) % 10)
     tail[a < 100, 2] = 0
     tail[:, 5] = ord(',')
-    return (np.zeros((2098, 4)), digits.view('<u8').ravel(), last, words.view('<u8'),
-            np.where(sci, 21, X + 4).astype(np.int64) * 36, tail.view('<u8').ravel())
-
-
-_CHUNK_AT = np.arange(1, 14, 4, dtype=np.uint8)[:, None]   # chunk j: digits d(4j-3)..d(4j)
+    return (np.zeros(2098), np.zeros((4, 4196)), digits.view('<u8').ravel(), nz2,
+            words.view('<u8').T.copy(), np.where(sci, 21, X + 4).astype(np.intp) * 36,
+            tail.view('<u8').ravel())
 
 
 def _scale(e: int) -> tuple:
+    """The least f with f * 2**e * 10**(16 - X0) >= 1e17 - 1/2, and per X in
+    X0, X0 + 1 the scale 2**e * 10**(16 - X) as h1, h2, X + 324 and lo."""
     n = e - 1
     x0 = len(str(2 ** n)) - 1 if n >= 0 else -len(str(2 ** -n))
-    num = 2 ** max(e, 0) * 10 ** max(16 - x0, 0)
-    den = 2 ** max(-e, 0) * 10 ** max(x0 - 16, 0)
-    hi = num / den                          # int / int rounds correctly
-    a, b = hi.as_integer_ratio()
-    h1 = hi * 134217729.0                   # Veltkamp split
-    h1 -= h1 - hi
-    return h1, hi - h1, (num * b - a * den) / (den * b), x0
+    cols = []
+    for x in (x0 + 1, x0):
+        num = 2 ** max(e, 0) * 10 ** max(16 - x, 0)
+        den = 2 ** max(-e, 0) * 10 ** max(x - 16, 0)
+        hi = num / den                          # int / int rounds correctly
+        a, b = hi.as_integer_ratio()
+        h1 = hi * 134217729.0                   # Veltkamp split
+        h1 -= h1 - hi
+        cols.insert(0, (h1, hi - h1, x + 324, (num * b - a * den) / (den * b)))
+    least = -(-(2 * 10 ** 17 - 1) * den * 2 ** 53 // (2 * num))    # x is X0 here
+    return least / 2 ** 53, list(zip(*cols))
 
 
-def _decimal(x: np.ndarray, scale: np.ndarray) -> tuple:
-    """(D, X, tie) for finite x: |x| rounds to D * 10**(X - 16) with 17 digits
-    (D = X = 0 at zero); tie marks a fraction within 1e-9 of one half."""
-    f, e = np.frexp(np.abs(x))
-    e += 1073
-    s = scale.T[:, e]
-    if (s[0] == 0).any():
-        for k in set(e[s[0] == 0].tolist()):
-            scale[k] = _scale(k - 1073)
-        s = scale.T[:, e]
-    X = s[3].astype(np.int64)           # X0
-    p = s[0] + s[1]
-    p *= f
-    f1 = f * 134217729.0
-    f1 -= f1 - f
-    f2 = f - f1
-    t = f1 * s[0]                       # t = f * scale - p, exact but for f * lo
-    t -= p
-    t += f1 * s[1]
-    t += f2 * s[0]
-    t += f2 * s[1]
-    t += f * s[2]
-    del s, f, f1, f2                    # a slab's temporaries stay few
-    D = p.astype(np.int64)
-    del p
-    fl = np.floor(t)
-    t -= fl                             # the fraction
-    D += fl.astype(np.int64)            # floor(f * scale)
-    del fl
-    big = D + (t > 0.5) >= 10 ** 17
-    q, r = np.divmod(D, 10)
-    np.copyto(D, q, where=big)
-    np.copyto(t, (r + t) / 10, where=big)
-    del q, r
-    D += t > 0.5
-    X += big
-    X[x == 0] = 0
-    return D, X, abs(t - 0.5) < 1e-9
+def _workspace(n: int) -> tuple:
+    """The formatter's buffers for n values: nine 8-byte rows, five byte rows."""
+    return np.empty((9, n)), np.empty((5, n), bool)
 
 
-def _g17(v: np.ndarray, out: np.ndarray) -> None:
+def _g17(v: np.ndarray, out: np.ndarray, ws: tuple | None = None) -> None:
     """Write format(x, '.17g') + ',' for each x of v (rows, k) to the 48-byte
-    fields of out (rows, k, 48), padded with zero bytes."""
-    scale, digits, last, layout, cls36, tail = _tables()
-    x = v.ravel()
-    odd = ~np.isfinite(x)
-    D, X, tie = _decimal(np.where(odd, 1.0, x), scale)
-    C = np.empty((5, len(x)), np.int64)     # d0, then four 4-digit chunks
+    fields of out (rows, k, 48), padded with zero bytes.  ws, a _workspace for
+    at least v.size values, saves allocating one."""
+    least, scale, digits, nz2, layout, cls36, tail = _tables()
+    f8, flags = (a[:, :v.size].reshape(len(a), *v.shape)
+                 for a in (_workspace(v.size) if ws is None else ws))
+    F, A, B, F1, F2, P, T = f8[:7]          # A, B: h1, h2 (A also f's bound, lo)
+    E, X = f8[7:].view(np.intp)             # E: e + 1073, then the scale's column
+    C, D = f8[:6].view(np.int64), f8[4].view(np.int64)    # D in f2's row, once spent
+    (odd, gt, tie), (nz, u8) = flags[:3], flags[3:].view(np.uint8)
+    # |v| rounds to D * 10**(X - 16), 17 digits (0 at 0); odd: not finite; tie: near 1/2
+    np.logical_not(np.isfinite(v, out=odd), out=odd)
+    np.copyto(np.abs(v, out=F), 1.0, where=odd)
+    np.frexp(F, out=(F, E))
+    E += 1073
+    np.take(least, E, out=A, mode='clip')
+    if not A.all():
+        least[E[A == 0]] = -1                   # the exponents met for the first time
+        for k in np.flatnonzero(least < 0).tolist():
+            least[k], scale[:, 2 * k:2 * k + 2] = _scale(k - 1073)
+        np.take(least, E, out=A, mode='clip')
+    E *= 2
+    E += np.greater_equal(F, A, out=gt)     # X = X0 + 1 where f * scale rounds to 1e17
+    np.take(scale[:3], E, axis=1, out=f8[1:4], mode='clip')   # h1, h2, X + 324
+    np.copyto(X, F1, casting='unsafe')
+    np.multiply(np.add(A, B, out=P), F, out=P)
+    np.multiply(F, 134217729.0, out=F1)     # Veltkamp split
+    F1 -= np.subtract(F1, F, out=F2)
+    np.subtract(F, F1, out=F2)
+    np.multiply(F1, A, out=T)           # t = f * scale - p, exact but for f * lo
+    T -= P
+    for a, b in ((F1, B), (F2, A), (F2, B)):
+        T += np.multiply(a, b, out=F1)
+    T += np.multiply(F, np.take(scale[3], E, out=A, mode='clip'), out=F1)    # f * lo
+    np.copyto(D, P, casting='unsafe')
+    T -= np.floor(T, out=P)             # the fraction
+    np.copyto(C[0], P, casting='unsafe')
+    D += C[0]                           # floor(f * scale)
+    D += np.greater(T, 0.5, out=gt)
+    np.copyto(X, 324, where=np.equal(v, 0, out=gt))
+    np.less(np.abs(np.subtract(T, 0.5, out=T), out=T), 1e-9, out=tie)
+    # D as d0 and four 4-digit chunks; words 0-4: layout plus digits, word 5: exponent
     for i in range(4, 0, -1):
-        np.divmod(D, 10000, out=(D, C[i]))
-    C[0] = D
-    t = last[C[1:]]
-    nz = np.maximum.reduce(np.where(t != 0, t + _CHUNK_AT, 1))   # digits to the last nonzero
-    X += 324
-    w = layout[cls36[X] + 2 * nz + np.signbit(x)]
-    w += digits[C.T]
+        np.floor_divide(C[i], 10000, out=C[i - 1])
+        C[i] -= np.multiply(C[i - 1], 10000, out=C[5])
+    np.take(nz2[0], C[1], out=nz, mode='clip')
+    for j in range(1, 4):                   # 2 nz, nz the digits to the last nonzero
+        np.maximum(nz, np.take(nz2[j], C[j + 1], out=u8, mode='clip'), out=nz)
+    np.take(cls36, X, out=E, mode='clip')   # E: the layout row
+    E += nz
+    E += np.signbit(v, out=gt)
     words = out.view('<u8')
-    words[..., :5] = w.reshape(v.shape + (5,))          # a copy: out is strided
-    words[..., 5] = tail[X].reshape(v.shape)
-    for i in np.flatnonzero(odd | tie).tolist():
-        text = np.frombuffer(format(x[i], '.17g').encode(), np.uint8)
-        field = out[divmod(i, v.shape[1])]
-        field[:45] = 0
-        field[:len(text)] = text
+    P, T = f8[5:7].view('<u8')
+    for i in range(5):
+        np.add(np.take(digits, C[i], out=P, mode='clip'),
+               np.take(layout[i], E, out=T, mode='clip'), out=words[..., i])
+    words[..., 5] = np.take(tail, X, out=P, mode='clip')
+    for i in np.flatnonzero(np.logical_or(odd, tie, out=tie)).tolist():
+        text = format(v.flat[i], '.17g').encode().ljust(45, b'\0')
+        out[divmod(i, v.shape[1])][:45] = np.frombuffer(text, np.uint8)
 
 
 def _fields(axis) -> np.ndarray:
@@ -321,6 +330,7 @@ def _write_grid_csv(path, header: str, axes, values: np.ndarray) -> None:
     width = sum(c.shape[1] for c in cols) + 48 * flat.shape[1]
     raw = bytearray(max(1, min(len(flat), _SLAB_ROWS)) * width)   # one slab's rows
     buf = np.frombuffer(raw, np.uint8).reshape(-1, width)
+    ws = _workspace(len(buf) * flat.shape[1])
     with open(path, 'wb') as fh:
         fh.write(header.encode() + b'\n')
         for a in range(0, len(flat), len(buf)):
@@ -333,7 +343,7 @@ def _write_grid_csv(path, header: str, axes, values: np.ndarray) -> None:
                 np.take(c, i, axis=0, out=rows[:, x:x + c.shape[1]], mode='clip')
                 x += c.shape[1]
             fields = rows[:, x:].reshape(len(block), -1, 48)
-            _g17(block, fields)
+            _g17(block, fields, ws)
             fields[:, -1, 45] = ord('\n')
             fh.write(raw.translate(None, b'\0'))
 

@@ -258,7 +258,7 @@ def _fourier_suite(add, st, rng):
         W = g.kernel(q, m, x0) @ g.kernel(p, m, x0)
         Rq = fourier.rotor(-phase(q))
         Rp = fourier.rotor(phase(p))
-        T = np.einsum('xyzab,bc,xyzcd->ad', Rq, W, Rp) * g.dx ** 3
+        T = np.einsum('xyzab,bc,xyzcd->ad', Rq, W, Rp, optimize=True) * g.dx ** 3
         tgt = (g.L ** 3) * np.eye(4) if q == p else np.zeros((4, 4))
         worst = max(worst, np.abs(T - tgt).max() / g.L ** 3)
     add("fourier.orthogonality",

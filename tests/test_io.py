@@ -459,6 +459,26 @@ def test_csv_bytes_match_per_value_writer(tmp_path, monkeypatch, name, slab_rows
     assert got.read_bytes() == want.read_bytes()
 
 
+@pytest.mark.parametrize("slab_rows", [1, 7, "default"])
+def test_shell_csv_bytes_match_across_default_slabs(tmp_path, monkeypatch, slab_rows):
+    # a Gaussian shell on 64 x 8 x 16 = 8,192 rows, values from about 1e-300
+    # up to 1: at the default cap the rows cross several slab boundaries
+    g = hankel.SphericalGrid(64, 40.0, 8, 16, 2, 64)
+    shell = np.exp(-(g.r - 10.0) ** 2 / 1.3)[:, None, None, None]
+    f = hankel.SphericalField(
+        g, shell * np.random.default_rng(64).standard_normal((64, 8, 16, 4)), 1.0)
+    size = np.abs(f.values)
+    assert size.min() < 1e-295 and size.max() > 0.5
+    assert size[..., 0].size > 2 * io._SLAB_ROWS
+    if slab_rows != "default":
+        monkeypatch.setattr(io, "_SLAB_ROWS", slab_rows)
+    got, want = tmp_path / "block.csv", tmp_path / "ref.csv"
+    io.write_spherical_csv(got, f)
+    per_value_csv(want, "r,theta,phi,psi0,psi1,psi2,psi3",
+                  grid_rows((g.r, g.angular.theta, g.angular.phi), f.values))
+    assert got.read_bytes() == want.read_bytes()
+
+
 # ------------------------------------------- the vectorized %.17g formatter
 
 def formatted(values):
@@ -555,3 +575,17 @@ def test_spherical_csv_writer_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 2e6, peak
+
+
+def test_frames_csv_working_set_follows_the_rows():
+    # sph-evolve's 201 frames: the writer's buffers are sized by the file's
+    # rows, not by _SLAB_ROWS
+    rows = [(k, 0.02 * k, 1.0 + 1e-15 * k, 1.25) for k in range(201)]
+    io.write_frames_csv(os.devnull, "step,t,norm,energy", rows)   # builds the tables
+    tracemalloc.start()
+    try:
+        io.write_frames_csv(os.devnull, "step,t,norm,energy", rows)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 0.25e6, peak
