@@ -273,18 +273,13 @@ def verify_basis_independence(rep: MajoranaRep, tol: float = 0.0) -> GramReport:
 
 
 def _group_inverse_indices(group, tol: float = 1e-9):
-    """Index of g^{-1} in the group list, for each g.  Group elements are
-    orthogonal up to sign, so the inverse is found by product comparison."""
-    eye = np.eye(4)
-    inv = []
-    for A in group:
-        for j, B in enumerate(group):
-            if np.abs(A @ B - eye).max() < tol:
-                inv.append(j)
-                break
-        else:
-            raise ValueError("group element has no inverse in the list")
-    return inv
+    """Index of g^{-1} in the group list, for each g: the first B with
+    A B = I, read off one stacked table of all products A B."""
+    g = np.asarray(group)
+    hit = np.abs(g[:, None] @ g[None] - np.eye(4)).max(axis=(2, 3)) < tol
+    if not hit.any(axis=1).all():
+        raise ValueError("group element has no inverse in the list")
+    return hit.argmax(axis=1).tolist()
 
 
 def intertwiner(rep_a: MajoranaRep, rep_b: MajoranaRep, tol: float = 1e-6) -> np.ndarray:
@@ -296,14 +291,10 @@ def intertwiner(rep_a: MajoranaRep, rep_b: MajoranaRep, tol: float = 1e-6) -> np
     only |det S| is normalized.
     """
     A2, B2 = rep_a.gamma2_group, rep_b.gamma2_group
-    inv = _group_inverse_indices(A2)
+    Binv = [B2[k] for k in _group_inverse_indices(A2)]
     for i in range(4):
-        for j in range(4):
-            seed = np.zeros((4, 4))
-            seed[i, j] = 1.0
-            S = np.zeros((4, 4))
-            for k, Ak in enumerate(A2):
-                S += B2[inv[k]] @ seed @ Ak
+        for j in range(4):   # seed E_ij: B(g^-1) E_ij A(g) = outer(B(g^-1)[:, i], A(g)[j])
+            S = sum(np.outer(Bk[:, i], Ak[j]) for Bk, Ak in zip(Binv, A2))
             d = np.linalg.det(S)
             if abs(d) > tol:
                 return S / abs(d) ** 0.25

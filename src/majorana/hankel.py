@@ -317,6 +317,7 @@ def evolved_norms(spec: HankelSpectrum, times):
 # 6th-order radial stencil.
 
 _C6 = np.array([-1.0, 9.0, -45.0, 0.0, 45.0, -9.0, 1.0]) / 60.0
+_BLOCK = 256   # angular columns per block of the eigen-relation products
 
 
 def _dr6(F: np.ndarray, dr: float) -> np.ndarray:
@@ -339,13 +340,27 @@ def _spatial_slash(grid: SphericalGrid, values: np.ndarray) -> np.ndarray:
     return (igr @ inner.reshape(inner.shape[:4] + (-1,))).reshape(inner.shape)
 
 
+def _absmax_of_product(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a @ b|, NaN if any entry is, over column blocks of b in one buffer.  No block
+    is one column wide: BLAS would sum that in another order than the one-shot a @ b."""
+    n = b.shape[1]
+    w = min(max(_BLOCK, 2), n)
+    edges = list(range(0, max(n - 1, 1), w)) + [n]
+    buf = np.empty((a.shape[0], w + 1))
+    worst = np.float64(0.0)
+    for lo, hi in zip(edges, edges[1:]):
+        out = np.matmul(a, b[:, lo:hi], out=buf[:, :hi - lo])
+        worst = np.maximum(worst, np.maximum(out.max(), -out.min()))
+    return float(worst)
+
+
 def eigen_relation_residual(grid: SphericalGrid, p: float, mode, m: float) -> float:
     """Relative residual of ig0 (m - i dslash) Lambda = E_p Lambda ig0.
 
-    With G = ig0 the residual is sum_i f_i (m G A_i - E A_i G)
-    - (d_r f_i) G ig^r A_i + (f_i / r) G ig^r sigma.L A_i: one (radial x
-    angular) matmul over the interior radial range.  It is dominated by the
-    radial-stencil truncation, which scales as (p dr)^6.
+    With G = ig0 the residual is sum_i f_i (m G A_i - E A_i G) - (d_r f_i) G ig^r A_i
+    + (f_i / r) G ig^r sigma.L A_i over the interior radial range; it and the scale
+    f^T (A G) are (radial x angular) products reduced block by block, never formed
+    whole.  It is dominated by the radial-stencil truncation, which scales as (p dr)^6.
     """
     th, ph = grid.angular.theta[:, None], grid.angular.phi[None, :]
     E = float(np.sqrt(p * p + m * m))
@@ -354,8 +369,8 @@ def eigen_relation_residual(grid: SphericalGrid, p: float, mode, m: float) -> fl
     gr = _G @ gamma_r(th, ph)
     W = np.concatenate([m * (_G @ A) - E * (A @ _G), -gr @ A, gr @ slA])
     R = np.hstack([f.T, _dr6(f.T, grid.dr), f.T / grid.r[:, None]])[3:-3]
-    worst = np.abs(R @ W.reshape(12, -1)).max()
-    return worst / (E * np.abs(f.T @ (A @ _G).reshape(4, -1)).max())
+    worst = _absmax_of_product(R, W.reshape(12, -1))
+    return worst / (E * _absmax_of_product(f.T, (A @ _G).reshape(4, -1)))
 
 
 # ----------------------------------------------------------------------------

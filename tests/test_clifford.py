@@ -101,6 +101,45 @@ def test_intertwiner_random_conjugation():
     assert abs(abs(np.linalg.det(S)) - 1.0) < 1e-12
 
 
+def pairwise_inverse_indices(group, tol=1e-9):
+    """Oracle: for each A the first B with |A B - I| < tol, one pair at a time."""
+    inv = []
+    for A in group:
+        for j, B in enumerate(group):
+            if np.abs(A @ B - np.eye(4)).max() < tol:
+                inv.append(j)
+                break
+        else:
+            raise ValueError("group element has no inverse in the list")
+    return inv
+
+
+def test_group_inverse_indices_match_pairwise_search():
+    Q = np.linalg.qr(np.random.default_rng(8).normal(size=(4, 4)))[0]
+    rep_b = clifford.rep_from_generators(*(Q @ M @ Q.T for M in REP.generators))
+    for group in (REP.gamma2_group, rep_b.gamma2_group):
+        inv = clifford._group_inverse_indices(group)
+        assert inv == pairwise_inverse_indices(group)
+        assert all(type(j) is int for j in inv)
+        for A, j in zip(group, inv):
+            np.testing.assert_allclose(A @ group[j], np.eye(4), atol=1e-12)
+    # with repeats, the first match: I -> 0, ig0 -> 2 (-ig0), -ig0 -> 1
+    g0 = REP.generators[0]
+    repeats = [np.eye(4), g0, -g0, np.eye(4), g0]
+    assert clifford._group_inverse_indices(repeats) == pairwise_inverse_indices(repeats)
+    assert clifford._group_inverse_indices(repeats) == [0, 2, 1, 0, 2]
+
+
+def test_group_inverse_indices_reject_a_missing_inverse():
+    # 2 I has no inverse in the list; nor does ig0 once -ig0 is dropped
+    g0 = REP.generators[0]
+    for group in ([np.eye(4), 2.0 * np.eye(4)], [np.eye(4), g0]):
+        with pytest.raises(ValueError):
+            pairwise_inverse_indices(group)
+        with pytest.raises(ValueError):
+            clifford._group_inverse_indices(group)
+
+
 def test_intertwiner_of_rep_with_itself_is_scalar():
     S = clifford.intertwiner(REP, REP)
     # Schur: the self-intertwiner of an irreducible real rep here is +-I

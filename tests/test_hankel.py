@@ -362,3 +362,86 @@ def test_spacetime_pair_matches_per_slice_loop():
                      for x in u])
     got = hankel.spacetime_hankel_inverse(s).values
     assert np.abs(got - want).max() <= 1e-14 * np.abs(want).max()
+
+
+def one_shot_eigen_residual(grid, p, mode, m):
+    """Oracle: the residual from the full (radial x angular) product and the
+    full scale product, each reduced by np.abs(...).max()."""
+    G = hankel._G
+    th, ph = grid.angular.theta[:, None], grid.angular.phi[None, :]
+    E = float(np.sqrt(p * p + m * m))
+    f, A = hankel._kernel_factors(p, mode, grid.r, th, ph, m)
+    slA = np.moveaxis(grid.angular.sigma_dot_L(np.moveaxis(A, 0, -1)), -1, 0)
+    gr = G @ spherical.gamma_r(th, ph)
+    W = np.concatenate([m * (G @ A) - E * (A @ G), -gr @ A, gr @ slA])
+    R = np.hstack([f.T, hankel._dr6(f.T, grid.dr), f.T / grid.r[:, None]])[3:-3]
+    worst = np.abs(R @ W.reshape(12, -1)).max()
+    return worst / (E * np.abs(f.T @ (A @ G).reshape(4, -1)).max())
+
+
+@pytest.mark.parametrize("block", [1, 7, hankel._BLOCK])
+def test_blocked_eigen_residual_equals_one_shot(grid, block, monkeypatch):
+    # 6 x 10 angles give 960 columns: 7 leaves a lone last column, 256 leaves 192
+    odd = hankel.SphericalGrid(48, 16.0, 6, 10, 3, 48)
+    assert (6 * 10 * 16) % 7 == 1 and (6 * 10 * 16) % hankel._BLOCK
+    want = {(g, p, mode, m): one_shot_eigen_residual(g, p, mode, m)
+            for g in (grid, odd) for p in (0.6, 1.3) for mode in [(1, 0), (2, -2)]
+            for m in (1.0, 0.0)}
+    monkeypatch.setattr(hankel, "_BLOCK", block)
+    for (g, p, mode, m), ref in want.items():
+        assert hankel.eigen_relation_residual(g, p, mode, m) == ref
+
+
+@pytest.mark.parametrize("block", [1, 2, 7, hankel._BLOCK])
+def test_absmax_of_product_equals_one_shot(block, monkeypatch):
+    monkeypatch.setattr(hankel, "_BLOCK", block)
+    rng = np.random.default_rng(5)
+    for rows, cols in [(5, 1), (5, 2), (9, 15), (9, 16), (3, 7 * 37 + 1), (40, 600)]:
+        a, b = rng.standard_normal((rows, 12)), rng.standard_normal((12, cols))
+        b[:, -1] *= 10.0   # the extreme entry sits in the last column
+        for sign in (1.0, -1.0):   # the extreme entry is positive, then negative
+            want = np.abs(a @ (sign * b)).max()
+            assert hankel._absmax_of_product(a, sign * b) == want
+    a, b = -np.ones((3, 2)), np.ones((2, 300))     # every entry -2
+    assert hankel._absmax_of_product(a, b) == 2.0
+
+
+def test_absmax_of_product_keeps_nan(monkeypatch):
+    monkeypatch.setattr(hankel, "_BLOCK", 7)
+    rng = np.random.default_rng(6)
+    a, b = rng.standard_normal((9, 12)), rng.standard_normal((12, 50))
+    for where in [(0, 0), (5, 20), (11, 49)]:
+        bn = b.copy()
+        bn[where] = np.nan
+        assert np.isnan(hankel._absmax_of_product(a, bn))
+    a[4, 3] = np.nan
+    assert np.isnan(hankel._absmax_of_product(a, b))
+
+
+def test_eigen_residual_nan_in_radial_factor(grid, monkeypatch):
+    # a NaN in f reaches R and the scale f^T (A G): the residual is NaN
+    factors = hankel._kernel_factors
+
+    def nan_f(*args):
+        f, A = factors(*args)
+        f = f.copy()
+        f[2, grid.nr // 2] = np.nan
+        return f, A
+
+    monkeypatch.setattr(hankel, "_kernel_factors", nan_f)
+    assert np.isnan(hankel.eigen_relation_residual(grid, 1.0, (1, 0), 1.0))
+
+
+def test_eigen_residual_nan_in_angular_factor(grid, monkeypatch):
+    # a NaN in sigma.L A reaches only the gr sigma.L A rows of W, well past
+    # the first block, and not the scale: the residual is NaN
+    monkeypatch.setattr(hankel, "_BLOCK", 64)
+    sdl = grid.angular.sigma_dot_L
+
+    def nan_sdl(values):
+        out = sdl(values).copy()
+        out[7, 13, 1, 0, 2] = np.nan    # (theta, phi, a, b, i): column 2900 of W
+        return out
+
+    monkeypatch.setattr(grid.angular, "sigma_dot_L", nan_sdl)
+    assert np.isnan(hankel.eigen_relation_residual(grid, 1.0, (1, 0), 1.0))

@@ -568,6 +568,7 @@ def test_spherical_csv_writer_peak_memory():
     # 256 x 32 x 64 x 4 values (16.8 MB) stream through one slab buffer
     g = hankel.SphericalGrid(256, 40.0, 32, 64, 5, 256)
     f = hankel.SphericalField(g, RNG.standard_normal((256, 32, 64, 4)), 1.0)
+    io._tables.cache_clear()   # cold: the formatter's tables count, in any test order
     tracemalloc.start()
     try:
         io.write_spherical_csv(os.devnull, f)
