@@ -421,6 +421,8 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
         w = np.einsum('pma,pma,p->p', spec.values, spec.values, spec.p_weights())
         c0 = ()
         frames = ((norm2,) for norm2 in hankel.evolved_norms(spec, times[1:]))
+    if cfg.steps:   # the frames read only the spectrum: free the initial field first
+        fld = None
     wtot = w.sum()
     energy = float((E * w).sum() / wtot) if wtot > 0 else 0.0
     norm0 = spec.norm2()
@@ -442,11 +444,7 @@ def _cmd_evolve(cfg: RunConfig, quiet: bool) -> int:
         summary["group_velocity_predicted"] = [float(v) for v in vg_pred]
         summary["group_velocity_measured"] = [float(v) for v in vg_meas]
     summary["passed"] = drift <= 1e-12
-    if cfg.steps:   # free the initial field before the inverse allocates the final one
-        del fld
-        fld = inverse(evolve(spec, times[-1]))
-
-    _write_fields(cfg, out, final=fld)
+    _write_fields(cfg, out, final=inverse(evolve(spec, times[-1])) if cfg.steps else fld)
     fio.write_frames_csv(out / "frames.csv", header, rows)
     _write_json(out / "summary.json", summary)
     if not quiet:

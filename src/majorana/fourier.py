@@ -30,9 +30,9 @@ the spatial transform with the time rotor DFT of ``clifford``.
 
 Evolution: the rotor rotor(-E t) is the phase e^{-iEt} in G-complex form.
 The inverse amplitude has two halves, Ap a and n = -K conj(a(-p)); the
-conjugate turns the phase of the second into e^{+iEt} (E(-p) = E(p)), so
-the positive- and negative-energy halves are built once and each frame of
-``evolved_densities`` is one phase and one FFT.
+conjugate turns the phase of the second into e^{+iEt} (E(-p) = E(p)); both
+halves are built once, and each ``evolved_densities`` frame takes one exp per
+distinct energy (661 of 32768 at n 32, L 16, m 1), gathered onto the lattice.
 """
 
 from __future__ import annotations
@@ -252,9 +252,12 @@ def evolved_densities(spec: MomentumSpectrum, times):
     g, m = spec.grid, spec.mass
     a, E = _to_complex(spec.values), g.energies(m)
     Ap, n = g._tables(m)[0], _mirror_half(g, m, a, -1)
-    ph, z = np.empty(E.shape, complex), np.empty_like(a)
+    # one exp per distinct energy; numpy versions shape the inverse differently
+    u, at = np.unique(E, return_inverse=True)
+    at = at.reshape(E.shape).astype(np.int32)
+    pu, ph, z = np.empty(u.shape, complex), np.empty(E.shape, complex), np.empty_like(a)
     for t in times:
-        np.exp(np.multiply(E, -1j * t, out=ph), out=ph)
+        np.take(np.exp(np.multiply(u, -1j * t, out=pu), out=pu), at, out=ph)
         np.multiply(a, ph, out=z)
         norm2 = np.vdot(z, z).real / g.L ** 3
         z *= Ap

@@ -74,6 +74,19 @@ def test_verify_tolerance_override_fails(tmp_path):
     assert failed == ["fourier.roundtrip"]
 
 
+def test_verify_seed_with_a_drawn_non_pin_element_exits_1(tmp_path):
+    # a valid config: the round-off on one drawn element fails a check, it
+    # does not abort the run as a bad config
+    code, od = run(tmp_path, "verify", dict(SMALL_VERIFY, seed=1713693870))
+    assert code == 1
+    rep = json.loads((od / "report.json").read_text(),
+                     parse_constant=lambda c: pytest.fail(f"non-strict JSON {c}"))
+    assert rep["n_checks"] == len(rep["checks"]) == 41
+    failed = [c for c in rep["checks"] if not c["passed"]]
+    assert [c["test_id"] for c in failed] == ["lorentz.homomorphism"]
+    assert failed[0]["measured"] is None
+
+
 # -------------------------------------------------------------------- evolve
 
 def test_evolve_cartesian_artifacts(tmp_path):
@@ -616,18 +629,20 @@ def test_thread_env_sets_blas_defaults(tmp_path, monkeypatch):
     ("evolve", {**SMALL_SPH, "time": {"steps": 2, "dt": 0.1}}, True),
 ])
 def test_only_spherical_runs_load_hankel(tmp_path, command, doc, spherical):
-    # a fresh interpreter: cartesian commands never import hankel or spherical
+    # a fresh interpreter: cartesian commands never import hankel or spherical,
+    # and no command imports numpy.ma (np.unique without return_inverse does)
     cfg = write_cfg(tmp_path, "c.json", {"command": command, **doc})
     probe = ("import sys; from majorana import cli; code = cli.main(sys.argv[1:]); "
              "print(code, 'majorana.hankel' in sys.modules, "
-             "'majorana.spherical' in sys.modules)")
+             "'majorana.spherical' in sys.modules, 'numpy.ma' in sys.modules)")
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p])}
     proc = subprocess.run([sys.executable, "-c", probe, command, "--config", cfg,
                            "--out", str(tmp_path / "o"), "--quiet"],
                           capture_output=True, text=True, env=env)
-    assert proc.stdout.split()[-3:] == ["0", str(spherical), str(spherical)], proc.stderr
+    assert proc.stdout.split()[-4:] == ["0", str(spherical), str(spherical), "False"], \
+        proc.stderr
 
 
 # ---------------------------------------------------------------- entry point

@@ -332,6 +332,42 @@ def test_evolved_densities_match_evolve_then_inverse(n, m):
         assert np.abs(dens - want).max() <= 1e-13 * want.max()
 
 
+def full_lattice_densities(spec, times):
+    # the frame loop with one exp per lattice mode, the oracle for the
+    # distinct-energy gather
+    g, m = spec.grid, spec.mass
+    a, E = clifford._to_complex(spec.values), g.energies(m)
+    Ap, n = g._tables(m)[0], fourier._mirror_half(g, m, a, -1)
+    ph, z = np.empty(E.shape, complex), np.empty_like(a)
+    for t in times:
+        np.exp(np.multiply(E, -1j * t, out=ph), out=ph)
+        np.multiply(a, ph, out=z)
+        norm2 = np.vdot(z, z).real / g.L ** 3
+        z *= Ap
+        np.conjugate(ph, out=ph)
+        dens = np.zeros(Ap.shape)
+        for zc, nc in zip(z, n):
+            zc += ph * nc
+            f = clifford._rotor_dft(zc, SPACE, +1)
+            dens += f.real ** 2 + f.imag ** 2
+        yield norm2, dens / g.L ** 6
+
+
+@pytest.mark.parametrize("n", [8, 16, 32])
+@pytest.mark.parametrize("m", [1.0, 0.0])
+def test_evolved_densities_equal_the_full_lattice_phase(n, m):
+    g = fourier.CartesianGrid(n, 16.0)
+    vals = np.random.default_rng(n + 1).standard_normal((n, n, n, 4))
+    spec = fourier.forward(fourier.SpinorField(g, vals, m))
+    times = [0.0, 0.37, -2.5, 5.0, 1e3]
+    got = list(fourier.evolved_densities(spec, times))
+    want = list(full_lattice_densities(spec, times))
+    assert len(got) == len(want) == len(times)
+    for (norm2, dens), (norm2_w, dens_w) in zip(got, want):
+        assert np.array_equal(norm2, norm2_w)
+        assert np.array_equal(dens, dens_w)
+
+
 # ---------------------------------------------------------------- projections
 
 def test_projections_idempotent_complementary():
